@@ -12,9 +12,9 @@
 
 #include "core/flow.hpp"
 #include "engine/batch.hpp"
-#include "engine/metrics.hpp"
 #include "engine/thread_pool.hpp"
 #include "report/csv.hpp"
+#include "util/metrics.hpp"
 #include "util/strings.hpp"
 
 using namespace sva;

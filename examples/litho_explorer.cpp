@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
   // --- What OPC leaves behind.
   const OpcEngine engine(process, OpcConfig{});
   const auto post = characterize_post_opc_pitch(
-      process, engine, linewidth,
-      {150.0, 250.0, 350.0, 450.0, 600.0});
+      engine, linewidth, {150.0, 250.0, 350.0, 450.0, 600.0});
   std::printf("post-OPC residual through-pitch CDs:\n");
   for (const auto& p : post)
     std::printf("  spacing %4.0f nm: CD %7.2f nm (mask bias %+5.1f nm)\n",

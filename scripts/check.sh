@@ -471,6 +471,69 @@ if [[ "$rc" -ne 0 ]]; then
 fi
 echo "TCP daemon drained on SIGTERM (exit 0)"
 
+echo "== batch over a saturated daemon: Busy slots retried or given up =="
+# One lane, one queue slot, and every job held 50 ms: of four distinct
+# job lines admitted back to back, the later ones find the queue full and
+# come back Busy.  Each batch round is one attempt of the client's retry
+# loop, which resubmits only the Busy slots: with retries the batch must
+# reproduce the concatenated direct runs; with none the client gives up
+# on the Busy slots, says so, and exits 3 (jobs failed).
+BUSY_SOCK="$CACHE_DIR/sva_busy.sock"
+SVA_FAILPOINTS="server.lane.run=delay(50)" \
+  "$CLI" serve --socket "$BUSY_SOCK" --threads 2 --queue-depth 1 --lanes 1 \
+  --result-cache 0 --cache-dir "$CACHE_DIR" > "$CACHE_DIR/serve_busy.log" 2>&1 &
+busy_pid=$!
+for _ in $(seq 1 100); do [[ -S "$BUSY_SOCK" ]] && break; sleep 0.1; done
+if [[ ! -S "$BUSY_SOCK" ]]; then
+  echo "FAIL: busy daemon never created $BUSY_SOCK"
+  cat "$CACHE_DIR/serve_busy.log"
+  exit 1
+fi
+busy_jobs=("C432" "C499" "C880" "C432 C499")
+: > "$CACHE_DIR/busy_jobs.txt"
+: > "$CACHE_DIR/busy_direct.txt"
+for job in "${busy_jobs[@]}"; do
+  echo "analyze $job" >> "$CACHE_DIR/busy_jobs.txt"
+  # $job is unquoted on purpose: one line may name several circuits.
+  "$CLI" analyze $job --threads 2 --cache-dir "$CACHE_DIR" \
+    >> "$CACHE_DIR/busy_direct.txt"
+done
+if ! "$CLI" batch "$CACHE_DIR/busy_jobs.txt" --connect "$BUSY_SOCK" \
+     --retries 25 > "$CACHE_DIR/busy_out.txt" 2> "$CACHE_DIR/busy_err.txt"; then
+  echo "FAIL: retried batch against the saturated daemon exited non-zero"
+  cat "$CACHE_DIR/busy_out.txt" "$CACHE_DIR/busy_err.txt"
+  exit 1
+fi
+if ! diff <(strip_variance < "$CACHE_DIR/busy_direct.txt" | grep -v '^wrote ') \
+          <(grep -v '^== batch job ' "$CACHE_DIR/busy_out.txt" \
+            | strip_variance | grep -v '^wrote '); then
+  echo "FAIL: retried batch slots differ from the concatenated direct runs"
+  exit 1
+fi
+rc=0
+"$CLI" batch "$CACHE_DIR/busy_jobs.txt" --connect "$BUSY_SOCK" --retries 0 \
+  > "$CACHE_DIR/busy0_out.txt" 2> "$CACHE_DIR/busy0_err.txt" || rc=$?
+if [[ "$rc" -ne 3 ]]; then
+  echo "FAIL: retry-less batch against the saturated daemon exited $rc, expected 3"
+  cat "$CACHE_DIR/busy0_out.txt" "$CACHE_DIR/busy0_err.txt"
+  exit 1
+fi
+if ! grep -q 'batch: giving up on [0-9]* busy slot(s) after 0 retries' \
+     "$CACHE_DIR/busy0_err.txt"; then
+  echo "FAIL: retry-less batch did not log its give-up on the Busy slots"
+  cat "$CACHE_DIR/busy0_err.txt"
+  exit 1
+fi
+kill -TERM "$busy_pid"
+rc=0
+wait "$busy_pid" || rc=$?
+if [[ "$rc" -ne 0 ]]; then
+  echo "FAIL: busy daemon exited $rc on SIGTERM, expected 0"
+  cat "$CACHE_DIR/serve_busy.log"
+  exit 1
+fi
+echo "Busy batch slots landed with retries, gave up (exit 3) without; daemon drained"
+
 echo "== kernel bench smoke: compiled/scalar bit-identity on C432 =="
 cmake --build build -j --target bench_sta_kernel
 ./build/bench/bench_sta_kernel --smoke

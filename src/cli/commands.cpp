@@ -81,11 +81,39 @@ std::uint64_t remote_deadline_ms(const EngineOptions& opts) {
              : 0;
 }
 
+/// The request frame that ships one job spec to the daemon.
+Frame remote_request(const AnalyzeJobSpec& spec, const EngineOptions& opts) {
+  return {MsgType::AnalyzeRequest,
+          encode_analyze_request({spec, remote_deadline_ms(opts)})};
+}
+Frame remote_request(const OptimizeJobSpec& spec, const EngineOptions& opts) {
+  return {MsgType::OptimizeRequest,
+          encode_optimize_request({spec, remote_deadline_ms(opts)})};
+}
+Frame remote_request(const SstaJobSpec& spec, const EngineOptions& opts) {
+  return {MsgType::SstaRequest,
+          encode_ssta_request({spec, remote_deadline_ms(opts)})};
+}
+
 /// --retries N as the client's transient-retry budget.
 ClientRetryConfig client_retry(const EngineOptions& opts) {
   ClientRetryConfig retry;
   retry.retries = static_cast<int>(opts.retries);
   return retry;
+}
+
+/// Run one job on the daemon at --connect instead of in this process.
+int run_on_daemon(const Frame& request, const EngineOptions& opts) {
+  reject_checkpoint_flags_remote(opts);
+  return run_remote_job(opts.connect_path, request, client_retry(opts));
+}
+
+AnalyzeJobSpec analyze_spec(const std::vector<std::string>& circuits,
+                            const EngineOptions& opts) {
+  AnalyzeJobSpec spec;
+  spec.circuits = circuits;
+  spec.strict = opts.strict;
+  return spec;
 }
 
 int cmd_list(std::vector<std::string>&, const EngineOptions&) {
@@ -100,15 +128,9 @@ int cmd_list(std::vector<std::string>&, const EngineOptions&) {
 
 int cmd_analyze(std::vector<std::string>& args, const EngineOptions& opts) {
   if (args.empty()) return usage();
-  AnalyzeJobSpec spec;
-  spec.circuits = args;
-  spec.strict = opts.strict;
-  if (!opts.connect_path.empty()) {
-    reject_checkpoint_flags_remote(opts);
-    return run_remote_analyze(opts.connect_path,
-                              {spec, remote_deadline_ms(opts)},
-                              client_retry(opts));
-  }
+  AnalyzeJobSpec spec = analyze_spec(args, opts);
+  if (!opts.connect_path.empty())
+    return run_on_daemon(remote_request(spec, opts), opts);
   spec.resume_path = opts.resume_path;
   spec.checkpoint_path = checkpoint_path(opts, "sva_analyze.ckpt");
   const SvaFlow flow{flow_config(opts)};
@@ -207,12 +229,8 @@ SstaJobSpec parse_ssta_spec(const std::vector<std::string>& args) {
 int cmd_optimize(std::vector<std::string>& args, const EngineOptions& opts) {
   if (args.empty()) return usage();
   OptimizeJobSpec spec = parse_optimize_spec(args);
-  if (!opts.connect_path.empty()) {
-    reject_checkpoint_flags_remote(opts);
-    return run_remote_optimize(opts.connect_path,
-                               {spec, remote_deadline_ms(opts)},
-                               client_retry(opts));
-  }
+  if (!opts.connect_path.empty())
+    return run_on_daemon(remote_request(spec, opts), opts);
   spec.resume_path = opts.resume_path;
   spec.checkpoint_path = checkpoint_path(opts, "sva_optimize.ckpt");
   const SvaFlow flow{flow_config(opts)};
@@ -232,11 +250,8 @@ int cmd_optimize(std::vector<std::string>& args, const EngineOptions& opts) {
 int cmd_ssta(std::vector<std::string>& args, const EngineOptions& opts) {
   if (args.empty()) return usage();
   SstaJobSpec spec = parse_ssta_spec(args);
-  if (!opts.connect_path.empty()) {
-    reject_checkpoint_flags_remote(opts);
-    return run_remote_ssta(opts.connect_path, {spec, remote_deadline_ms(opts)},
-                           client_retry(opts));
-  }
+  if (!opts.connect_path.empty())
+    return run_on_daemon(remote_request(spec, opts), opts);
   const SvaFlow flow{flow_config(opts)};
   cache_warm_start(flow.context_cache(), opts);
   ThreadPool pool(opts.threads);
@@ -284,27 +299,20 @@ int cmd_batch(std::vector<std::string>& args, const EngineOptions& opts) {
     if (rest.empty())
       throw std::runtime_error("batch line '" + line +
                                "': expected a benchmark after '" + verb + "'");
-    BatchItem item;
+    Frame job;
     if (verb == "analyze") {
-      AnalyzeJobSpec spec;
-      spec.circuits = rest;
-      spec.strict = opts.strict;
-      item.kind = static_cast<std::uint8_t>(MsgType::AnalyzeRequest);
-      item.body = encode_analyze_request({spec, remote_deadline_ms(opts)});
+      job = remote_request(analyze_spec(rest, opts), opts);
     } else if (verb == "optimize") {
-      item.kind = static_cast<std::uint8_t>(MsgType::OptimizeRequest);
-      item.body = encode_optimize_request(
-          {parse_optimize_spec(rest), remote_deadline_ms(opts)});
+      job = remote_request(parse_optimize_spec(rest), opts);
     } else if (verb == "ssta") {
-      item.kind = static_cast<std::uint8_t>(MsgType::SstaRequest);
-      item.body = encode_ssta_request(
-          {parse_ssta_spec(rest), remote_deadline_ms(opts)});
+      job = remote_request(parse_ssta_spec(rest), opts);
     } else {
       throw std::runtime_error("batch line '" + line +
                                "': unknown job kind '" + verb +
                                "' (expected analyze, optimize, or ssta)");
     }
-    request.items.push_back(std::move(item));
+    request.items.push_back(
+        {static_cast<std::uint8_t>(job.type), std::move(job.body)});
     labels.push_back(line);
   }
   if (request.items.empty())
@@ -590,7 +598,8 @@ int usage() {
       "  --retries N            with --connect: retry transient daemon\n"
       "                         failures (busy, refused, dropped before a\n"
       "                         response) up to N times with exponential\n"
-      "                         backoff + jitter (default 0)\n"
+      "                         backoff + jitter, 60 s of sleep at most; a\n"
+      "                         batch round is one try (default 0)\n"
       "  --cache-dir DIR        persistent context-library cache directory\n"
       "                         (default: $SVA_CACHE_DIR or .sva_cache)\n"
       "  --no-cache             run cold; neither load nor save the cache\n"

@@ -5,12 +5,12 @@
 
 #include <algorithm>
 
-#include "engine/metrics.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/filelock.hpp"
 #include "util/logging.hpp"
+#include "util/metrics.hpp"
 #include "util/retry.hpp"
 #include "util/serialize.hpp"
 
@@ -57,8 +57,7 @@ SvaFlow::SvaFlow(const FlowConfig& config)
     log_info("flow: post-OPC pitch characterization (",
              config_.table_spacings.size(), " spacings)");
     pitch_points_ = characterize_post_opc_pitch(
-        wafer_, engine_, config_.cell_tech.gate_length,
-        config_.table_spacings);
+        engine_, config_.cell_tech.gate_length, config_.table_spacings);
     // Never persist a degraded setup: the fallback CDs are a conservative
     // stand-in, not characterization data a later healthy run should
     // warm-start from.

@@ -2,10 +2,10 @@
 
 #include <chrono>
 
-#include "engine/metrics.hpp"
 #include "util/checkpoint.hpp"
 #include "util/diagnostics.hpp"
 #include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {

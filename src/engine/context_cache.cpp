@@ -5,12 +5,12 @@
 #include <thread>
 #include <utility>
 
-#include "engine/metrics.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/filelock.hpp"
 #include "util/logging.hpp"
+#include "util/metrics.hpp"
 #include "util/retry.hpp"
 #include "util/serialize.hpp"
 

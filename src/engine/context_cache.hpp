@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "cell/context_library.hpp"
-#include "engine/metrics.hpp"
+#include "util/metrics.hpp"
 
 namespace sva {
 

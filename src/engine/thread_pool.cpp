@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "engine/metrics.hpp"
 #include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace sva {
 

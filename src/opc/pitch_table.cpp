@@ -7,14 +7,6 @@
 namespace sva {
 
 std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
-    const LithoProcess& process, const OpcEngine& engine, Nm linewidth,
-    const std::vector<Nm>& spacings, std::size_t array_lines) {
-  (void)process;  // imaging happens inside the engine
-  return characterize_post_opc_pitch(engine, linewidth, spacings,
-                                     array_lines);
-}
-
-std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
     const OpcEngine& engine, Nm linewidth, const std::vector<Nm>& spacings,
     std::size_t array_lines) {
   SVA_REQUIRE(linewidth > 0.0);

@@ -32,12 +32,6 @@ std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
     const OpcEngine& engine, Nm linewidth, const std::vector<Nm>& spacings,
     std::size_t array_lines = 7);
 
-/// Backward-compatible overload; the explicit process argument is unused
-/// (imaging happens inside the engine).
-std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
-    const LithoProcess& process, const OpcEngine& engine, Nm linewidth,
-    const std::vector<Nm>& spacings, std::size_t array_lines = 7);
-
 /// Spacing -> printed-CD lookup table from the characterization points.
 /// Throws if any point failed to print.
 LookupTable1D post_opc_spacing_table(

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "core/scales.hpp"
-#include "engine/metrics.hpp"
 #include "util/checkpoint.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/serialize.hpp"
 #include "util/strings.hpp"
 

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "engine/options.hpp"
 
@@ -55,13 +57,13 @@ int deliver_response(const Frame& response) {
   }
 }
 
-/// One attempt: connect, send, read one response.  Failures where the
-/// job cannot have produced anything observable are rethrown as
-/// TransientError for the retry loop; everything else propagates as-is.
-/// The refused-connect classification is transport-agnostic: a TCP
-/// daemon that is down or restarting surfaces the same ECONNREFUSED a
-/// Unix one does.
-Frame attempt_call(const std::string& endpoint, const Frame& request) {
+/// One exchange: connect, send, read one response (a Busy answer is
+/// returned like any other).  Failures where the request cannot have
+/// produced anything observable are rethrown as TransientError for the
+/// retry loop; everything else propagates as-is.  The refused-connect
+/// classification is transport-agnostic: a TCP daemon that is down or
+/// restarting surfaces the same ECONNREFUSED a Unix one does.
+Frame exchange(const std::string& endpoint, const Frame& request) {
   Fd fd;
   try {
     fd = endpoint_connect(parse_endpoint(endpoint));
@@ -70,19 +72,20 @@ Frame attempt_call(const std::string& endpoint, const Frame& request) {
       throw TransientError(e.what());  // daemon restarting / not up yet
     throw;
   }
-  write_frame(fd.get(), request);
   std::optional<Frame> response;
   try {
+    write_frame(fd.get(), request);
     response = read_frame(fd.get());
   } catch (const SocketError& e) {
-    // A reset while waiting for the response: the daemon dropped the
-    // connection with our request bytes still unread (an injected
-    // connection fault, an eviction) -- nothing was delivered, and
-    // delivery only ever happens after a whole decoded frame, so a
-    // resubmit is as safe as the EOF case below.
-    if (e.errno_value() == ECONNRESET)
+    // The daemon closed the connection before answering: a reset with our
+    // request bytes still unread (an injected connection fault, an
+    // eviction), or EPIPE when a shed connection was closed before our
+    // request went out.  Nothing was delivered -- delivery only ever
+    // happens after a whole decoded frame -- so a resubmit is as safe as
+    // the EOF case below.
+    if (e.errno_value() == ECONNRESET || e.errno_value() == EPIPE)
       throw TransientError(
-          std::string("connection reset before a response arrived: ") +
+          std::string("connection closed before a response arrived: ") +
           e.what());
     throw;
   }
@@ -91,11 +94,37 @@ Frame attempt_call(const std::string& endpoint, const Frame& request) {
     // deliberately (crashed lane) or died whole.  The job never
     // delivered anything, so a resubmit is safe.
     throw TransientError("server closed the connection without a response");
-  if (response->type == MsgType::BusyResponse) {
-    const BusyResponse busy = decode_busy_response(response->body);
-    throw BusyRetryError(std::move(*response), busy);
-  }
   return *response;
+}
+
+RetryPolicy client_policy(const ClientRetryConfig& retry) {
+  RetryPolicy policy;
+  policy.max_attempts = retry.retries + 1;
+  policy.initial_backoff = retry.initial_backoff;
+  policy.max_jitter = retry.max_jitter;
+  policy.transient_only = true;
+  return policy;
+}
+
+/// The slots of one batch round's response.  A connection shed with
+/// Busy (--max-conns) answers every submitted slot with that Busy.
+std::vector<BatchSlot> round_slots(const Frame& response,
+                                   std::size_t submitted) {
+  if (response.type == MsgType::BusyResponse)
+    return std::vector<BatchSlot>(submitted,
+                                  {MsgType::BusyResponse, response.body});
+  if (response.type != MsgType::BatchResponse)
+    throw ProtocolError(ProtoStatus::BadType,
+                        std::string("expected batch_response, got ") +
+                            msg_type_name(response.type));
+  BatchResponse decoded = decode_batch_response(response.body);
+  if (decoded.slots.size() != submitted)
+    throw ProtocolError(ProtoStatus::BadBody,
+                        "batch response carries " +
+                            std::to_string(decoded.slots.size()) +
+                            " slots for " + std::to_string(submitted) +
+                            " submitted specs");
+  return std::move(decoded.slots);
 }
 
 }  // namespace
@@ -114,14 +143,15 @@ Frame ServerClient::call(const Frame& request) {
 Frame call_server_with_retry(const std::string& endpoint,
                              const Frame& request,
                              const ClientRetryConfig& retry) {
-  RetryPolicy policy;
-  policy.max_attempts = retry.retries + 1;
-  policy.initial_backoff = retry.initial_backoff;
-  policy.max_jitter = retry.max_jitter;
-  policy.transient_only = true;
   try {
-    return with_retry("server call", policy,
-                      [&] { return attempt_call(endpoint, request); });
+    return with_retry("server call", client_policy(retry), [&] {
+      Frame response = exchange(endpoint, request);
+      if (response.type == MsgType::BusyResponse) {
+        const BusyResponse busy = decode_busy_response(response.body);
+        throw BusyRetryError(std::move(response), busy);
+      }
+      return response;
+    });
   } catch (const BusyRetryError& e) {
     // Retry budget exhausted on Busy: hand the rejection to the caller
     // as the response it is.
@@ -129,63 +159,10 @@ Frame call_server_with_retry(const std::string& endpoint,
   }
 }
 
-int run_remote_analyze(const std::string& endpoint,
-                       const AnalyzeRequest& request,
-                       const ClientRetryConfig& retry) {
-  return deliver_response(call_server_with_retry(
-      endpoint, {MsgType::AnalyzeRequest, encode_analyze_request(request)},
-      retry));
+int run_remote_job(const std::string& endpoint, const Frame& request,
+                   const ClientRetryConfig& retry) {
+  return deliver_response(call_server_with_retry(endpoint, request, retry));
 }
-
-int run_remote_optimize(const std::string& endpoint,
-                        const OptimizeRequest& request,
-                        const ClientRetryConfig& retry) {
-  return deliver_response(call_server_with_retry(
-      endpoint, {MsgType::OptimizeRequest, encode_optimize_request(request)},
-      retry));
-}
-
-int run_remote_ssta(const std::string& endpoint, const SstaRequest& request,
-                    const ClientRetryConfig& retry) {
-  return deliver_response(call_server_with_retry(
-      endpoint, {MsgType::SstaRequest, encode_ssta_request(request)},
-      retry));
-}
-
-namespace {
-
-/// Cap on the summed busy-slot retry sleeps of one batch: a server that
-/// sheds every round cannot stall the client past this, whatever hints
-/// it sends.
-constexpr std::uint64_t kBatchRetrySleepCapMs = 60'000;
-
-/// Submit `sub` and return its decoded slots.  A connection-level Busy
-/// that survived call_server_with_retry's own budget comes back as a
-/// one-slot-per-item all-Busy round so the caller's slot loop handles
-/// both shedding modes uniformly.
-std::vector<BatchSlot> call_batch_round(const std::string& endpoint,
-                                        const BatchRequest& sub,
-                                        const ClientRetryConfig& retry) {
-  const Frame response = call_server_with_retry(
-      endpoint, {MsgType::BatchRequest, encode_batch_request(sub)}, retry);
-  if (response.type == MsgType::BusyResponse)
-    return std::vector<BatchSlot>(sub.items.size(),
-                                  {MsgType::BusyResponse, response.body});
-  if (response.type != MsgType::BatchResponse)
-    throw ProtocolError(ProtoStatus::BadType,
-                        std::string("expected batch_response, got ") +
-                            msg_type_name(response.type));
-  BatchResponse decoded = decode_batch_response(response.body);
-  if (decoded.slots.size() != sub.items.size())
-    throw ProtocolError(ProtoStatus::BadBody,
-                        "batch response carries " +
-                            std::to_string(decoded.slots.size()) +
-                            " slots for " + std::to_string(sub.items.size()) +
-                            " submitted specs");
-  return std::move(decoded.slots);
-}
-
-}  // namespace
 
 int run_remote_batch(const std::string& endpoint, const BatchRequest& request,
                      const std::vector<std::string>& labels,
@@ -195,48 +172,37 @@ int run_remote_batch(const std::string& endpoint, const BatchRequest& request,
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
-  // First round ships the whole batch; later rounds resubmit only the
-  // Busy slots, honouring the server's retry_after_ms hint exactly like
-  // the single-spec retry loop (sleep = max(hint, backoff) + jitter),
-  // under a bounded budget so a shedding server cannot stall us forever.
-  auto backoff = retry.initial_backoff;
-  std::uint64_t slept_ms = 0;
-  int rounds_left = retry.retries;
-  while (true) {
+  // One round is one retry attempt: the first ships the whole batch,
+  // later ones only the slots still Busy.  Landed slots are kept; while
+  // any slot is Busy the round throws the Busy with the largest hint, so
+  // the shared loop sleeps max(hint, backoff) like a single-spec retry.
+  const auto round = [&] {
     BatchRequest sub;
     sub.items.reserve(pending.size());
     for (const std::size_t i : pending) sub.items.push_back(request.items[i]);
-    const std::vector<BatchSlot> round =
-        call_batch_round(endpoint, sub, retry);
+    const std::vector<BatchSlot> landed = round_slots(
+        exchange(endpoint, {MsgType::BatchRequest, encode_batch_request(sub)}),
+        sub.items.size());
     std::vector<std::size_t> still_busy;
-    for (std::size_t k = 0; k < round.size(); ++k) {
-      slots[pending[k]] = round[k];
-      if (round[k].type == MsgType::BusyResponse)
-        still_busy.push_back(pending[k]);
+    std::optional<BusyRetryError> busiest;
+    for (std::size_t k = 0; k < landed.size(); ++k) {
+      slots[pending[k]] = landed[k];
+      if (landed[k].type != MsgType::BusyResponse) continue;
+      still_busy.push_back(pending[k]);
+      const BusyResponse busy = decode_busy_response(landed[k].body);
+      if (!busiest || busy.retry_after_ms > busiest->retry_after_ms())
+        busiest.emplace(Frame{landed[k].type, landed[k].body}, busy);
     }
     pending = std::move(still_busy);
-    if (pending.empty()) break;
-    if (rounds_left <= 0 || slept_ms >= kBatchRetrySleepCapMs) {
-      std::fprintf(stderr,
-                   "batch: giving up on %zu busy slot(s) after %d %s\n",
-                   pending.size(), retry.retries,
-                   retry.retries == 1 ? "retry" : "retries");
-      break;
-    }
-    --rounds_left;
-    std::uint64_t hint_ms = 0;
-    for (const std::size_t i : pending) {
-      const BusyResponse busy = decode_busy_response(slots[i].body);
-      hint_ms = std::max(hint_ms, busy.retry_after_ms);
-    }
-    auto sleep_for = std::max(
-        backoff, std::chrono::milliseconds(static_cast<std::int64_t>(
-                     std::min(hint_ms, kBatchRetrySleepCapMs - slept_ms))));
-    sleep_for += retry_detail::jitter(retry.max_jitter);
-    MetricsRegistry::global().counter("io.retries").add();
-    std::this_thread::sleep_for(sleep_for);
-    slept_ms += static_cast<std::uint64_t>(sleep_for.count());
-    backoff *= 2;
+    if (busiest) throw *busiest;
+  };
+  try {
+    with_retry("batch round", client_policy(retry), round);
+  } catch (const BusyRetryError&) {
+    std::fprintf(stderr,
+                 "batch: giving up on %zu busy slot(s) after %d %s\n",
+                 pending.size(), retry.retries,
+                 retry.retries == 1 ? "retry" : "retries");
   }
 
   // Deliver every slot in submission order through the same emit path a

@@ -15,13 +15,15 @@
 // Failures are retried only when nothing observable can have happened:
 //
 //   transient (retried, --retries N)    Busy rejection (carrying the
-//     server's retry_after_ms hint), connect refused (no daemon had the
-//     socket yet / it was restarting), and a connection closed or reset
-//     before the first response byte (the daemon dropped it deliberately
-//     after a lane crash or connection fault -- nothing user-visible was
-//     delivered).  Each retry resubmits the
-//     identical spec, which the server deduplicates by content hash, so
-//     retries are idempotent end to end.
+//     server's retry_after_ms hint; a connection shed over --max-conns
+//     answers one too), connect refused (no daemon had the socket yet /
+//     it was restarting), and a connection closed or reset before the
+//     first response byte (the daemon dropped it deliberately after a
+//     lane crash or connection fault, or shed it before the request was
+//     written -- nothing user-visible was delivered).  Each retry
+//     resubmits the identical spec, which the server deduplicates by
+//     content hash, so retries are idempotent end to end.  All of these
+//     run in the one with_retry loop; a batch round is one attempt.
 //
 //   permanent (never retried)    a response delivered even partially --
 //     a truncated read mid-frame means bytes reached the user-visible
@@ -31,6 +33,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "server/protocol.hpp"
 #include "server/socket.hpp"
@@ -55,8 +58,9 @@ class ServerClient {
 };
 
 /// Client-side retry knobs (--retries N).  `retries` is the number of
-/// re-attempts after the first try; 0 preserves the classic
-/// fail-immediately behaviour.
+/// re-attempts after the first try (N + 1 attempts in total, a batch
+/// round counting as one); 0 preserves the classic fail-immediately
+/// behaviour.
 struct ClientRetryConfig {
   int retries = 0;
   std::chrono::milliseconds initial_backoff{50};
@@ -90,29 +94,24 @@ Frame call_server_with_retry(const std::string& endpoint,
                              const Frame& request,
                              const ClientRetryConfig& retry = {});
 
-/// Ship an analyze/optimize job to the daemon at `endpoint` and
-/// deliver the response exactly as the local command would (stdout
-/// bytes, artifact files, cancellation report).  Returns the process
-/// exit code; a Busy rejection that survives the retry budget reports on
-/// stderr and exits with the fatal code.
-int run_remote_analyze(const std::string& endpoint,
-                       const AnalyzeRequest& request,
-                       const ClientRetryConfig& retry = {});
-int run_remote_optimize(const std::string& endpoint,
-                        const OptimizeRequest& request,
-                        const ClientRetryConfig& retry = {});
-int run_remote_ssta(const std::string& endpoint,
-                    const SstaRequest& request,
-                    const ClientRetryConfig& retry = {});
+/// Ship one analyze/optimize/ssta request frame to the daemon at
+/// `endpoint` and deliver the response exactly as the local command
+/// would (stdout bytes, artifact files, cancellation report).  Returns
+/// the process exit code; a Busy rejection that survives the retry
+/// budget reports on stderr and exits with the fatal code.
+int run_remote_job(const std::string& endpoint, const Frame& request,
+                   const ClientRetryConfig& retry = {});
 
 /// Ship N job specs over one connection (`sva batch FILE`) and deliver
-/// every slot in submission order through the same emit path.  Busy
-/// slots are resubmitted as a sub-batch, sleeping max(server hint,
-/// backoff) between rounds, under a bounded budget (retry.retries
-/// rounds, capped total sleep); a logged give-up delivers the surviving
-/// Busy slots as failures instead of stalling forever.  `labels` (when
-/// sized like the items) captions each slot's output header.  Returns 0
-/// when every slot exits 0, else kExitJobsFailed.
+/// every slot in submission order through the same emit path.  Each
+/// round is one attempt of the shared retry loop: slots that landed are
+/// kept, and while any slot is still Busy the round fails transiently
+/// with the largest Busy hint, so the next attempt resubmits only those
+/// slots.  Once the budget (retry.retries re-attempts, kMaxRetrySleep of
+/// summed sleeps) is spent, a logged give-up delivers the surviving Busy
+/// slots as failures.  `labels` (when sized like the items) captions
+/// each slot's output header.  Returns 0 when every slot exits 0, else
+/// kExitJobsFailed.
 int run_remote_batch(const std::string& endpoint, const BatchRequest& request,
                      const std::vector<std::string>& labels = {},
                      const ClientRetryConfig& retry = {});

@@ -13,6 +13,11 @@ Counter& counter(const char* name) {
   return MetricsRegistry::global().counter(name);
 }
 
+/// A ConnLimits budget from now; 0 disables it (no deadline).
+Deadline budget(std::uint64_t ms) {
+  return ms > 0 ? Deadline::after_ms(ms) : Deadline();
+}
+
 }  // namespace
 
 Conn::Conn(Fd fd, ConnLimits limits)
@@ -36,14 +41,15 @@ std::optional<Frame> Conn::read_frame() {
   // The failpoint fires before any byte is consumed, so an injected
   // fault is a clean pre-frame drop the client retries safely.
   SVA_FAILPOINT("server.conn.read");
-  std::optional<IoDeadline> deadline;
-  if (limits_.read_timeout_ms > 0)
-    deadline = IoDeadline::after_ms(limits_.read_timeout_ms);
   std::size_t wire_bytes = 0;
   std::optional<Frame> frame = sva::read_frame(
-      fd_.get(), deadline ? &*deadline : nullptr, &wire_bytes);
+      fd_.get(), budget(limits_.read_timeout_ms), &wire_bytes);
   counter("server.conn.bytes_in").add(wire_bytes);
   return frame;
+}
+
+Deadline Conn::idle_deadline() const {
+  return budget(limits_.idle_timeout_ms);
 }
 
 void Conn::write_frame(const Frame& frame) {
@@ -51,11 +57,8 @@ void Conn::write_frame(const Frame& frame) {
   // fault drops the whole response, never a torn frame.
   SVA_FAILPOINT("server.conn.write");
   const std::string wire = encode_frame(frame);
-  std::optional<IoDeadline> deadline;
-  if (limits_.write_timeout_ms > 0)
-    deadline = IoDeadline::after_ms(limits_.write_timeout_ms);
   write_all(fd_.get(), wire.data(), wire.size(),
-            deadline ? &*deadline : nullptr);
+            budget(limits_.write_timeout_ms));
   counter("server.conn.bytes_out").add(wire.size());
 }
 

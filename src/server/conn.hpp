@@ -47,7 +47,10 @@ class Conn {
   Conn& operator=(const Conn&) = delete;
 
   int fd() const { return fd_.get(); }
-  const ConnLimits& limits() const { return limits_; }
+
+  /// The idle budget starting now (no deadline when disabled); the
+  /// handler loop re-arms it after every served frame.
+  Deadline idle_deadline() const;
 
   /// Receive one frame under the read budget.  The caller has already
   /// seen the descriptor readable, so the budget clock starts with data

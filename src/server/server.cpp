@@ -58,6 +58,17 @@ double mean_job_exec_ms() {
   return n == 0 ? 0.0 : exec.seconds() * 1e3 / static_cast<double>(n);
 }
 
+/// The Busy answer of both overload modes -- a full admission queue and
+/// a connection over --max-conns -- so the client's one retry loop
+/// handles them identically.
+Frame busy_frame(const LanePool& lanes) {
+  const std::size_t depth = lanes.queued_depth();
+  return {MsgType::BusyResponse,
+          encode_busy_response(
+              {depth, lanes.queue_capacity(),
+               estimate_retry_after_ms(depth, mean_job_exec_ms())})};
+}
+
 }  // namespace
 
 std::uint64_t estimate_retry_after_ms(std::size_t queue_depth,
@@ -188,19 +199,11 @@ int TimingServer::serve(ThreadPool& pool, const CancelToken* stop) {
       SVA_FAILPOINT("server.conn.accept");
       if (active_conns_.load() >= config_.max_conns) {
         // Over the connection cap: shed with the same Busy + hint the
-        // queue-depth admission path answers, so the client's existing
-        // retry machinery handles both overload modes identically.
+        // queue-depth admission path answers.
         counter("server.conn.shed_busy").add();
-        const std::size_t depth = lanes_.queued_depth();
-        const IoDeadline budget = IoDeadline::after_ms(kShedWriteBudgetMs);
         try {
-          write_frame(
-              conn_fd.get(),
-              {MsgType::BusyResponse,
-               encode_busy_response(
-                   {depth, lanes_.queue_capacity(),
-                    estimate_retry_after_ms(depth, mean_job_exec_ms())})},
-              &budget);
+          write_frame(conn_fd.get(), busy_frame(lanes_),
+                      Deadline::after_ms(kShedWriteBudgetMs));
         } catch (const std::exception&) {
         }
         continue;
@@ -258,237 +261,177 @@ HealthResponse TimingServer::health_snapshot() const {
   return h;
 }
 
-std::optional<TimingServer::PendingJob> TimingServer::admit_job(
-    std::uint64_t deadline_ms, std::uint64_t spec_hash, bool cacheable,
-    std::function<JobResult(const CancelToken*)> work,
-    std::optional<Frame>* immediate) {
-  if (cacheable) {
-    if (std::optional<JobResult> cached = result_cache_.lookup(spec_hash)) {
-      // An idempotent replay: the exact bytes the first execution
-      // produced, so a retried request cannot diverge from its original.
-      jobs_served_.fetch_add(1);
-      *immediate = result_frame(*cached);
+std::optional<TimingServer::JobPlan> TimingServer::plan_job(
+    MsgType type, const std::string& body) {
+  JobPlan plan;
+  switch (type) {
+    case MsgType::AnalyzeRequest: {
+      AnalyzeRequest req = decode_analyze_request(body);
+      plan.deadline_ms = req.deadline_ms;
+      plan.spec_hash = job_spec_hash(req.spec);
+      plan.cacheable = true;
+      plan.work = [this, spec = std::move(req.spec)](
+                      const CancelToken* cancel) {
+        return run_analyze_job(flow_, *pool_, spec, cancel);
+      };
+      return plan;
+    }
+    case MsgType::OptimizeRequest: {
+      OptimizeRequest req = decode_optimize_request(body);
+      plan.deadline_ms = req.deadline_ms;
+      plan.spec_hash = job_spec_hash(req.spec);
+      // Never cached: optimize mutates artifacts and its cost is the
+      // product.
+      plan.cacheable = false;
+      plan.work = [this, spec = std::move(req.spec)](
+                      const CancelToken* cancel) {
+        return run_optimize_job(flow_, ensure_sized(), *pool_, spec, cancel);
+      };
+      return plan;
+    }
+    case MsgType::SstaRequest: {
+      SstaRequest req = decode_ssta_request(body);
+      plan.deadline_ms = req.deadline_ms;
+      plan.spec_hash = job_spec_hash(req.spec);
+      plan.cacheable = true;
+      plan.work = [this, spec = std::move(req.spec)](
+                      const CancelToken* cancel) {
+        return run_ssta_job(flow_, *pool_, spec, cancel);
+      };
+      return plan;
+    }
+    default:
       return std::nullopt;
-    }
   }
+}
 
-  auto job = std::make_shared<ServerJob>();
-  job->id = next_job_id_.fetch_add(1);
-  job->spec_hash = spec_hash;
-  job->cacheable = cacheable;
-  job->cancel = std::make_shared<CancelToken>();
-  if (deadline_ms > 0)
-    job->cancel->set_deadline(
-        Deadline::after_seconds(static_cast<double>(deadline_ms) / 1000.0));
-  // Armed before the job is shared, like the deadline: every poll() inside
-  // the work beats this counter for the watchdog.
-  job->cancel->set_heartbeat(&job->heartbeat);
-  job->work = [w = std::move(work), token = job->cancel] {
-    return w(token.get());
+void TimingServer::run_jobs(Conn& conn, std::vector<JobSlot>& slots) {
+  struct Pending {
+    std::uint64_t job_id = 0;
+    std::future<JobResult> done;
+    std::shared_ptr<CancelToken> cancel;
   };
-  job->enqueued_at = std::chrono::steady_clock::now();
-  PendingJob pending;
-  pending.done = job->done.get_future();
-  pending.cancel = job->cancel;
-  pending.job = job;
-
-  if (!lanes_.submit(job)) {
-    counter("server.jobs_rejected").add();
-    const std::size_t depth = lanes_.queued_depth();
-    *immediate = Frame{
-        MsgType::BusyResponse,
-        encode_busy_response(
-            {depth, lanes_.queue_capacity(),
-             estimate_retry_after_ms(depth, mean_job_exec_ms())})};
-    return std::nullopt;
-  }
-  counter("server.jobs_accepted").add();
-  return pending;
-}
-
-Frame TimingServer::finish_result(const JobResult& result,
-                                  std::uint64_t spec_hash, bool cacheable) {
-  jobs_served_.fetch_add(1);
-  if (cacheable && result.exit_code == 0 && result.error.empty() &&
-      !result.cancelled)
-    result_cache_.insert(spec_hash, result);
-  return result_frame(result);
-}
-
-void TimingServer::submit_and_wait(
-    Conn& conn, std::uint64_t deadline_ms, std::uint64_t spec_hash,
-    bool cacheable, std::function<JobResult(const CancelToken*)> work,
-    bool& keep_open) {
-  std::optional<Frame> immediate;
-  std::optional<PendingJob> pending =
-      admit_job(deadline_ms, spec_hash, cacheable, std::move(work),
-                &immediate);
-  if (!pending) {
-    conn.write_frame(*immediate);
-    return;
-  }
-
-  // Watch the client while its job is queued/running: an orderly
-  // disconnect trips that job's token only -- every other in-flight job
-  // is untouched.
-  while (pending->done.wait_for(std::chrono::milliseconds(kPollMs)) !=
-         std::future_status::ready) {
-    if (!pending->cancel->cancelled() && peer_disconnected(conn.fd())) {
-      pending->cancel->request_cancel(CancelReason::Api);
-      counter("server.client_disconnects").add();
-    }
-  }
-  const JobResult result = pending->done.get();
-  if (result.lane_crashed) {
-    // The executor lane died before the job ran.  Drop the connection
-    // without a response: the client's transient-retry classification
-    // (EOF before any response byte) resubmits the identical spec, which
-    // lands on the recycled lane -- or, once completed, on the result
-    // cache.
-    counter("server.jobs_crashed").add();
-    log_warn("server: lane crashed under job ", pending->job->id,
-             "; dropping connection for client retry (", result.error, ")");
-    keep_open = false;
-    return;
-  }
-  conn.write_frame(finish_result(result, spec_hash, cacheable));
-}
-
-namespace {
-
-/// Decoded executable form of one batch slot.  `error` is set instead
-/// when the slot's bytes are malformed -- the slot's response, never the
-/// batch's.
-struct BatchSlotPlan {
-  std::uint64_t deadline_ms = 0;
-  std::uint64_t spec_hash = 0;
-  bool cacheable = false;
-  bool ok = false;
-  ErrorResponse error;
-};
-
-}  // namespace
-
-void TimingServer::handle_batch(Conn& conn, const BatchRequest& request) {
-  const std::size_t n = request.items.size();
-  struct Slot {
-    std::optional<Frame> response;
-    std::optional<PendingJob> pending;
-    std::uint64_t spec_hash = 0;
-    bool cacheable = false;
-  };
-  std::vector<Slot> slots(n);
+  std::vector<std::optional<Pending>> pending(slots.size());
 
   // Admission pass, in submission order: the per-lane binding is the
   // normal spec_hash % lanes, so identical specs inside one batch
   // serialize on one lane (determinism) while distinct specs spread over
   // the lanes and run concurrently.
-  for (std::size_t i = 0; i < n; ++i) {
-    const BatchItem& item = request.items[i];
-    std::function<JobResult(const CancelToken*)> work;
-    BatchSlotPlan plan;
-    try {
-      switch (static_cast<MsgType>(item.kind)) {
-        case MsgType::AnalyzeRequest: {
-          const AnalyzeRequest req = decode_analyze_request(item.body);
-          plan.deadline_ms = req.deadline_ms;
-          plan.spec_hash = job_spec_hash(req.spec);
-          plan.cacheable = true;
-          work = [this, spec = req.spec](const CancelToken* cancel) {
-            return run_analyze_job(flow_, *pool_, spec, cancel);
-          };
-          plan.ok = true;
-          break;
-        }
-        case MsgType::OptimizeRequest: {
-          const OptimizeRequest req = decode_optimize_request(item.body);
-          plan.deadline_ms = req.deadline_ms;
-          plan.spec_hash = job_spec_hash(req.spec);
-          plan.cacheable = false;  // optimize is never cached
-          work = [this, spec = req.spec](const CancelToken* cancel) {
-            return run_optimize_job(flow_, ensure_sized(), *pool_, spec,
-                                    cancel);
-          };
-          plan.ok = true;
-          break;
-        }
-        case MsgType::SstaRequest: {
-          const SstaRequest req = decode_ssta_request(item.body);
-          plan.deadline_ms = req.deadline_ms;
-          plan.spec_hash = job_spec_hash(req.spec);
-          plan.cacheable = true;
-          work = [this, spec = req.spec](const CancelToken* cancel) {
-            return run_ssta_job(flow_, *pool_, spec, cancel);
-          };
-          plan.ok = true;
-          break;
-        }
-        default:
-          plan.error = {ProtoStatus::BadType,
-                        "batch slot " + std::to_string(i) + " kind " +
-                            std::to_string(item.kind) +
-                            " is not a job request"};
-          break;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    JobSlot& slot = slots[i];
+    if (slot.response) continue;  // a malformed slot answered for itself
+    JobPlan& plan = slot.plan;
+    if (plan.cacheable) {
+      if (std::optional<JobResult> cached =
+              result_cache_.lookup(plan.spec_hash)) {
+        // An idempotent replay: the exact bytes the first execution
+        // produced, so a retried request cannot diverge from its original.
+        jobs_served_.fetch_add(1);
+        slot.response = result_frame(*cached);
+        continue;
       }
-    } catch (const ProtocolError& e) {
-      // The malformed slot answers for itself; the rest of the batch is
-      // untouched.
-      plan.ok = false;
-      plan.error = {e.status(), e.what()};
     }
-    if (!plan.ok) {
-      counter("server.bad_frames").add();
-      slots[i].response =
-          Frame{MsgType::ErrorResponse, encode_error_response(plan.error)};
+
+    auto job = std::make_shared<ServerJob>();
+    job->id = next_job_id_.fetch_add(1);
+    job->spec_hash = plan.spec_hash;
+    job->cacheable = plan.cacheable;
+    job->cancel = std::make_shared<CancelToken>();
+    if (plan.deadline_ms > 0)
+      job->cancel->set_deadline(Deadline::after_ms(plan.deadline_ms));
+    // Armed before the job is shared, like the deadline: every poll()
+    // inside the work beats this counter for the watchdog.
+    job->cancel->set_heartbeat(&job->heartbeat);
+    job->work = [w = std::move(plan.work), token = job->cancel] {
+      return w(token.get());
+    };
+    job->enqueued_at = std::chrono::steady_clock::now();
+    Pending admitted{job->id, job->done.get_future(), job->cancel};
+    if (!lanes_.submit(job)) {
+      counter("server.jobs_rejected").add();
+      slot.response = busy_frame(lanes_);
       continue;
     }
-    slots[i].spec_hash = plan.spec_hash;
-    slots[i].cacheable = plan.cacheable;
-    std::optional<Frame> immediate;
-    slots[i].pending = admit_job(plan.deadline_ms, plan.spec_hash,
-                                 plan.cacheable, std::move(work), &immediate);
-    if (!slots[i].pending) slots[i].response = std::move(*immediate);
+    counter("server.jobs_accepted").add();
+    pending[i] = std::move(admitted);
   }
 
   // Wait pass, again in submission order (results must come back in the
-  // order specs were submitted).  One disconnect cancels every still-
+  // order specs were submitted).  A disconnect cancels every still-
   // pending slot: nobody is waiting for the answers any more.
   bool disconnected = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!slots[i].pending) continue;
-    PendingJob& pending = *slots[i].pending;
-    while (pending.done.wait_for(std::chrono::milliseconds(kPollMs)) !=
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!pending[i]) continue;
+    while (pending[i]->done.wait_for(std::chrono::milliseconds(kPollMs)) !=
            std::future_status::ready) {
       if (!disconnected && peer_disconnected(conn.fd())) {
         disconnected = true;
         counter("server.client_disconnects").add();
-        for (std::size_t j = i; j < n; ++j)
-          if (slots[j].pending && !slots[j].pending->cancel->cancelled())
-            slots[j].pending->cancel->request_cancel(CancelReason::Api);
+        for (std::size_t j = i; j < slots.size(); ++j)
+          if (pending[j] && !pending[j]->cancel->cancelled())
+            pending[j]->cancel->request_cancel(CancelReason::Api);
       }
     }
-    const JobResult result = pending.done.get();
+    const JobResult result = pending[i]->done.get();
+    JobSlot& slot = slots[i];
     if (result.lane_crashed) {
-      // Unlike the single-spec path (which drops the connection so the
-      // retry layer resubmits), a batch already owes the client N slots;
-      // the crash poisons only its own slot and says a resubmit is safe.
+      // The executor lane died before the job ran, so resubmitting the
+      // identical spec is safe: it lands on the recycled lane -- or,
+      // once completed, on the result cache.
       counter("server.jobs_crashed").add();
-      slots[i].response =
-          Frame{MsgType::ErrorResponse,
-                encode_error_response(
-                    {ProtoStatus::ServerError,
-                     "executor lane crashed before the job ran; "
-                     "resubmitting this spec is safe (" +
-                         result.error + ")"})};
+      log_warn("server: lane crashed under job ", pending[i]->job_id, " (",
+               result.error, ")");
+      slot.lane_crashed = true;
+      slot.response = Frame{
+          MsgType::ErrorResponse,
+          encode_error_response(
+              {ProtoStatus::ServerError,
+               "executor lane crashed before the job ran; "
+               "resubmitting this spec is safe (" +
+                   result.error + ")"})};
       continue;
     }
+    jobs_served_.fetch_add(1);
+    if (slot.plan.cacheable && result.exit_code == 0 &&
+        result.error.empty() && !result.cancelled)
+      result_cache_.insert(slot.plan.spec_hash, result);
+    slot.response = result_frame(result);
+  }
+}
+
+void TimingServer::handle_batch(Conn& conn, const BatchRequest& request) {
+  const std::size_t n = request.items.size();
+  std::vector<JobSlot> slots(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const BatchItem& item = request.items[i];
+    ErrorResponse error;
+    try {
+      std::optional<JobPlan> plan =
+          plan_job(static_cast<MsgType>(item.kind), item.body);
+      if (plan) {
+        slots[i].plan = std::move(*plan);
+        continue;
+      }
+      error = {ProtoStatus::BadType,
+               "batch slot " + std::to_string(i) + " kind " +
+                   std::to_string(item.kind) + " is not a job request"};
+    } catch (const ProtocolError& e) {
+      // The malformed slot answers for itself; the rest of the batch is
+      // untouched.
+      error = {e.status(), e.what()};
+    }
+    counter("server.bad_frames").add();
     slots[i].response =
-        finish_result(result, slots[i].spec_hash, slots[i].cacheable);
+        Frame{MsgType::ErrorResponse, encode_error_response(error)};
   }
 
+  // Unlike a single-spec request, a batch already owes the client N
+  // slots: a crashed lane answers its own slot with the resubmit-safe
+  // error run_jobs filled in.
+  run_jobs(conn, slots);
   BatchResponse response;
   response.slots.reserve(n);
-  for (Slot& slot : slots)
+  for (JobSlot& slot : slots)
     response.slots.push_back({slot.response->type,
                               std::move(slot.response->body)});
   conn.write_frame(
@@ -520,58 +463,40 @@ void TimingServer::handle_request(Conn& conn, const Frame& request,
       request_stop();
       keep_open = false;
       return;
-    case MsgType::AnalyzeRequest: {
-      const AnalyzeRequest req = decode_analyze_request(request.body);
-      submit_and_wait(conn, req.deadline_ms, job_spec_hash(req.spec),
-                      /*cacheable=*/true,
-                      [this, spec = req.spec](const CancelToken* cancel) {
-                        return run_analyze_job(flow_, *pool_, spec, cancel);
-                      },
-                      keep_open);
+    case MsgType::BatchRequest:
+      handle_batch(conn, decode_batch_request(request.body));
       return;
-    }
-    case MsgType::OptimizeRequest: {
-      const OptimizeRequest req = decode_optimize_request(request.body);
-      // Never cached: optimize mutates artifacts and its cost is the
-      // product.
-      submit_and_wait(conn, req.deadline_ms, job_spec_hash(req.spec),
-                      /*cacheable=*/false,
-                      [this, spec = req.spec](const CancelToken* cancel) {
-                        return run_optimize_job(flow_, ensure_sized(), *pool_,
-                                                spec, cancel);
-                      },
-                      keep_open);
-      return;
-    }
-    case MsgType::SstaRequest: {
-      const SstaRequest req = decode_ssta_request(request.body);
-      submit_and_wait(conn, req.deadline_ms, job_spec_hash(req.spec),
-                      /*cacheable=*/true,
-                      [this, spec = req.spec](const CancelToken* cancel) {
-                        return run_ssta_job(flow_, *pool_, spec, cancel);
-                      },
-                      keep_open);
-      return;
-    }
-    case MsgType::BatchRequest: {
-      const BatchRequest req = decode_batch_request(request.body);
-      handle_batch(conn, req);
-      return;
-    }
     default:
-      conn.write_frame({MsgType::ErrorResponse,
-                        encode_error_response(
-                            {ProtoStatus::BadType,
-                             std::string("unexpected message type ") +
-                                 msg_type_name(request.type)})});
-      keep_open = false;
-      return;
+      break;
   }
+
+  // Anything else must be one job spec: a one-slot run.
+  std::optional<JobPlan> plan = plan_job(request.type, request.body);
+  if (!plan) {
+    conn.write_frame({MsgType::ErrorResponse,
+                      encode_error_response(
+                          {ProtoStatus::BadType,
+                           std::string("unexpected message type ") +
+                               msg_type_name(request.type)})});
+    keep_open = false;
+    return;
+  }
+  std::vector<JobSlot> slots(1);
+  slots[0].plan = std::move(*plan);
+  run_jobs(conn, slots);
+  if (slots[0].lane_crashed) {
+    // Drop the connection without a response: the client's transient-
+    // retry classification (EOF before any response byte) resubmits the
+    // identical spec.
+    keep_open = false;
+    return;
+  }
+  conn.write_frame(*slots[0].response);
 }
 
 void TimingServer::handle_connection(Conn conn) {
   bool keep_open = true;
-  auto last_activity = std::chrono::steady_clock::now();
+  Deadline idle = conn.idle_deadline();
   while (keep_open && !stop_.load()) {
     // Idle wait with a bounded poll so a draining server can close idle
     // connections instead of blocking in read() forever.
@@ -583,17 +508,11 @@ void TimingServer::handle_connection(Conn conn) {
     }
     if (ready < 0) break;   // peer hung up while idle
     if (ready == 0) {
-      const std::uint64_t idle_budget = conn.limits().idle_timeout_ms;
-      const auto idle_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - last_activity)
-              .count();
-      if (idle_budget > 0 &&
-          static_cast<std::uint64_t>(idle_ms) > idle_budget) {
+      if (idle.expired()) {
         // A parked connection holds a handler thread and a --max-conns
         // slot; reclaim it like any other slow peer.
         counter("server.conn.evicted_slow").add();
-        log_warn("server: idle connection evicted after ", idle_ms, " ms");
+        log_warn("server: idle connection evicted (idle budget spent)");
         break;
       }
       continue;
@@ -606,7 +525,7 @@ void TimingServer::handle_connection(Conn conn) {
       std::optional<Frame> frame = conn.read_frame();
       if (!frame) break;  // clean EOF
       handle_request(conn, *frame, keep_open);
-      last_activity = std::chrono::steady_clock::now();
+      idle = conn.idle_deadline();
     } catch (const SlowPeerError& e) {
       // The peer started a frame (or stopped draining its responses) and
       // then stalled past its budget: evict so the handler thread and

@@ -18,17 +18,20 @@
 //                   connection supervisor (server/conn.hpp): per-frame
 //                   read/write budgets plus an idle budget evict
 //                   slow-loris peers (server.conn.evicted_slow).  They
-//                   answer metrics/ping/health/shutdown inline, submit
-//                   analyze/optimize/ssta jobs to the LanePool -- a full
-//                   backlog answers Busy immediately with a
-//                   retry_after_ms hint (admission control) -- then wait
-//                   on the job while watching the socket: a client
-//                   disconnect cancels that client's job only.  A
-//                   BatchRequest admits its N slots in submission order
-//                   (distinct specs spread over the lanes concurrently)
-//                   and answers one BatchResponse whose slots are
-//                   byte-identical to N single-spec connections; a
-//                   malformed or crashing slot poisons only itself;
+//                   answer metrics/ping/health/shutdown inline and run
+//                   every analyze/optimize/ssta spec through one job
+//                   path: plan_job() decodes it, run_jobs() admits it to
+//                   the LanePool -- a full backlog answers Busy
+//                   immediately with a retry_after_ms hint (admission
+//                   control) -- then waits on it while watching the
+//                   socket: a client disconnect cancels that client's
+//                   jobs only.  A single-spec request is a one-slot run;
+//                   a BatchRequest admits its N slots in submission
+//                   order (distinct specs spread over the lanes
+//                   concurrently) and answers one BatchResponse whose
+//                   slots are byte-identical to N single-spec
+//                   connections; a malformed or crashing slot poisons
+//                   only itself;
 //   lanes           N executor lanes (--lanes), each owning a queue and
 //                   running its jobs on the shared ThreadPool.  A job is
 //                   bound to lane (spec_hash % N) so identical specs
@@ -54,7 +57,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -143,37 +145,38 @@ class TimingServer {
   std::uint16_t tcp_port() const { return tcp_port_.load(); }
 
  private:
-  /// A job past admission: its handle plus the future the lane fulfils.
-  struct PendingJob {
-    std::shared_ptr<ServerJob> job;
-    std::future<JobResult> done;
-    std::shared_ptr<CancelToken> cancel;
+  /// An analyze/optimize/ssta request decoded into what the lanes run.
+  struct JobPlan {
+    std::uint64_t deadline_ms = 0;
+    std::uint64_t spec_hash = 0;
+    bool cacheable = false;
+    std::function<JobResult(const CancelToken*)> work;
+  };
+  /// One slot of a run_jobs() call.  `response` is preset for a slot
+  /// that answers for itself (a malformed batch slot) and filled by
+  /// run_jobs() for every other.
+  struct JobSlot {
+    JobPlan plan;
+    std::optional<Frame> response;
+    /// The lane crashed before the job ran; `response` is a resubmit-
+    /// safe error, which a single-spec request drops instead of sending.
+    bool lane_crashed = false;
   };
 
   void handle_connection(Conn conn);
   void handle_request(Conn& conn, const Frame& request, bool& keep_open);
-  /// Result-cache lookup + admission control.  Either fills `immediate`
-  /// (cached replay or Busy) or returns the pending job handle.
-  std::optional<PendingJob> admit_job(
-      std::uint64_t deadline_ms, std::uint64_t spec_hash, bool cacheable,
-      std::function<JobResult(const CancelToken*)> work,
-      std::optional<Frame>* immediate);
-  /// Account a finished job and render its response frame (inserting a
-  /// clean cacheable result into the result cache).
-  Frame finish_result(const JobResult& result, std::uint64_t spec_hash,
-                      bool cacheable);
-  /// Admit one job (or answer Busy / the result cache) and stream the
-  /// response.  `keep_open` is cleared on a lane crash, where the
-  /// connection is dropped without a response so the client's
-  /// transient-retry path takes over.
-  void submit_and_wait(Conn& conn, std::uint64_t deadline_ms,
-                       std::uint64_t spec_hash, bool cacheable,
-                       std::function<JobResult(const CancelToken*)> work,
-                       bool& keep_open);
-  /// Serve a BatchRequest: admit every slot in submission order, await
-  /// them in the same order, and answer one BatchResponse.  Per-slot
-  /// isolation: a malformed spec, a Busy rejection, a job error, or a
-  /// crashed lane resolves to that slot's response only.
+  /// Decode a job request body.  nullopt when `type` is not a job kind;
+  /// throws ProtocolError on a malformed body.
+  std::optional<JobPlan> plan_job(MsgType type, const std::string& body);
+  /// The one job path: admit every slot in order (result-cache replay,
+  /// then admission control -- a full backlog answers Busy), then await
+  /// them in the same order while watching `conn`; a disconnect cancels
+  /// every job still pending.  A single-spec request is a one-slot run.
+  void run_jobs(Conn& conn, std::vector<JobSlot>& slots);
+  /// Serve a BatchRequest as one run_jobs() call and answer one
+  /// BatchResponse.  Per-slot isolation: a malformed spec, a Busy
+  /// rejection, a job error, or a crashed lane resolves to that slot's
+  /// response only.
   void handle_batch(Conn& conn, const BatchRequest& request);
   HealthResponse health_snapshot() const;
   /// The lazily built sized library (first optimize request pays for

@@ -90,14 +90,6 @@ int poll_events(int fd, short events, int timeout_ms) {
 
 }  // namespace
 
-int IoDeadline::remaining_ms(int cap) const {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        at - std::chrono::steady_clock::now())
-                        .count();
-  if (left <= 0) return 0;
-  return left < cap ? static_cast<int>(left) : cap;
-}
-
 Fd& Fd::operator=(Fd&& other) noexcept {
   if (this != &other) {
     close_now();
@@ -307,23 +299,23 @@ bool peer_disconnected(int fd) {
 }
 
 void write_all(int fd, const void* data, std::size_t n,
-               const IoDeadline* deadline) {
+               const Deadline& deadline) {
   const char* p = static_cast<const char*>(data);
   const std::size_t total = n;
   while (n > 0) {
-    if (deadline != nullptr) {
-      const int wait = deadline->remaining_ms(kIoPollSliceMs);
+    if (deadline.valid()) {
+      const int wait = deadline.remaining_ms(kIoPollSliceMs);
       if (wait == 0) throw_slow("write", total - n, total);
       // Bounded wait for buffer space; -1 (hangup) falls through to
       // send(), which surfaces the precise error.
       if (poll_events(fd, POLLOUT, wait) == 0) continue;
     }
     // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE, never SIGPIPE.
-    const int flags = MSG_NOSIGNAL | (deadline != nullptr ? MSG_DONTWAIT : 0);
+    const int flags = MSG_NOSIGNAL | (deadline.valid() ? MSG_DONTWAIT : 0);
     const ssize_t written = ::send(fd, p, n, flags);
     if (written < 0) {
       if (errno == EINTR) continue;
-      if (deadline != nullptr && (errno == EAGAIN || errno == EWOULDBLOCK))
+      if (deadline.valid() && (errno == EAGAIN || errno == EWOULDBLOCK))
         continue;
       throw_errno("send");
     }
@@ -333,20 +325,20 @@ void write_all(int fd, const void* data, std::size_t n,
 }
 
 bool read_exact(int fd, void* data, std::size_t n,
-                const IoDeadline* deadline) {
+                const Deadline& deadline) {
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   while (got < n) {
-    if (deadline != nullptr) {
-      const int wait = deadline->remaining_ms(kIoPollSliceMs);
+    if (deadline.valid()) {
+      const int wait = deadline.remaining_ms(kIoPollSliceMs);
       if (wait == 0) throw_slow("read", got, n);
       if (poll_readable(fd, wait) == 0) continue;
     }
-    const int flags = deadline != nullptr ? MSG_DONTWAIT : 0;
+    const int flags = deadline.valid() ? MSG_DONTWAIT : 0;
     const ssize_t r = ::recv(fd, p + got, n - got, flags);
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (deadline != nullptr && (errno == EAGAIN || errno == EWOULDBLOCK))
+      if (deadline.valid() && (errno == EAGAIN || errno == EWOULDBLOCK))
         continue;
       throw_errno("recv");
     }
@@ -361,12 +353,12 @@ bool read_exact(int fd, void* data, std::size_t n,
   return true;
 }
 
-void write_frame(int fd, const Frame& frame, const IoDeadline* deadline) {
+void write_frame(int fd, const Frame& frame, const Deadline& deadline) {
   const std::string wire = encode_frame(frame);
   write_all(fd, wire.data(), wire.size(), deadline);
 }
 
-std::optional<Frame> read_frame(int fd, const IoDeadline* deadline,
+std::optional<Frame> read_frame(int fd, const Deadline& deadline,
                                 std::size_t* wire_bytes) {
   std::uint8_t header[8];
   if (!read_exact(fd, header, sizeof header, deadline)) return std::nullopt;

@@ -19,17 +19,18 @@
 // listeners get SO_REUSEADDR and TCP sockets get TCP_NODELAY (frames are
 // written as one contiguous buffer, so Nagle only adds latency).
 //
-// IO can run under an IoDeadline budget: the deadline is absolute, so a
+// IO can run under a Deadline budget (util/cancel.hpp; a default-
+// constructed Deadline means no budget): the deadline is absolute, so a
 // peer dripping one byte per poll interval cannot reset it — when the
 // budget expires mid-read or mid-write the call throws SlowPeerError and
 // the server evicts the connection.
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 #include "server/protocol.hpp"
+#include "util/cancel.hpp"
 #include "util/error.hpp"
 
 namespace sva {
@@ -49,26 +50,12 @@ class SocketError : public Error {
   int errno_value_ = 0;
 };
 
-/// A read or write missed its IoDeadline: the peer is too slow (or
+/// A read or write missed its Deadline: the peer is too slow (or
 /// stalled mid-frame).  Distinct from SocketError so the server can
 /// count evictions separately from transport faults.
 class SlowPeerError : public SocketError {
  public:
   explicit SlowPeerError(const std::string& what) : SocketError(what) {}
-};
-
-/// Absolute deadline for one IO operation (a whole frame, not one
-/// syscall).  Absolute so partial progress never extends it.
-struct IoDeadline {
-  std::chrono::steady_clock::time_point at;
-
-  static IoDeadline after_ms(std::uint64_t ms) {
-    return IoDeadline{std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(ms)};
-  }
-  /// Milliseconds left, clamped to [0, cap].
-  int remaining_ms(int cap) const;
-  bool expired() const { return remaining_ms(1) == 0; }
 };
 
 /// Move-only owning file descriptor.
@@ -151,26 +138,26 @@ bool peer_disconnected(int fd);
 /// Throws SocketError on failure; with a deadline, throws SlowPeerError
 /// once the budget expires before the final byte is accepted.
 void write_all(int fd, const void* data, std::size_t n,
-               const IoDeadline* deadline = nullptr);
+               const Deadline& deadline = {});
 
 /// Read exactly `n` bytes.  Returns false on clean EOF before the first
 /// byte; throws SocketError on EOF mid-read or any error.  With a
 /// deadline, throws SlowPeerError once the budget expires — partial
 /// progress does not extend it.
 bool read_exact(int fd, void* data, std::size_t n,
-                const IoDeadline* deadline = nullptr);
+                const Deadline& deadline = {});
 
 /// Send one protocol frame (encoded into one contiguous buffer, so the
 /// peer never observes a torn header/payload boundary).
 void write_frame(int fd, const Frame& frame,
-                 const IoDeadline* deadline = nullptr);
+                 const Deadline& deadline = {});
 
 /// Receive one protocol frame.  Returns nullopt on clean EOF at a frame
 /// boundary (the peer hung up).  Throws ProtocolError on bad magic /
 /// oversized / malformed payloads and SocketError on transport failure.
 /// `wire_bytes` (when non-null) receives the on-wire size of the frame
 /// (header + payload) for byte accounting.
-std::optional<Frame> read_frame(int fd, const IoDeadline* deadline = nullptr,
+std::optional<Frame> read_frame(int fd, const Deadline& deadline = {},
                                 std::size_t* wire_bytes = nullptr);
 
 }  // namespace sva

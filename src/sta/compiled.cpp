@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "engine/metrics.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {

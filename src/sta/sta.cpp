@@ -4,9 +4,9 @@
 #include <queue>
 #include <utility>
 
-#include "engine/metrics.hpp"
 #include "sta/compiled.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace sva {
 

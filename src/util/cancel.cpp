@@ -26,6 +26,22 @@ Deadline Deadline::after_seconds(double seconds) {
   return d;
 }
 
+Deadline Deadline::after_ms(std::uint64_t ms) {
+  Deadline d;
+  d.valid_ = true;
+  d.at_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  return d;
+}
+
+int Deadline::remaining_ms(int cap) const {
+  if (!valid_) return cap;
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        at_ - std::chrono::steady_clock::now())
+                        .count();
+  if (left <= 0) return 0;
+  return left < cap ? static_cast<int>(left) : cap;
+}
+
 double Deadline::remaining_seconds() const {
   if (!valid_) return std::numeric_limits<double>::infinity();
   return std::chrono::duration<double>(at_ - std::chrono::steady_clock::now())

@@ -53,12 +53,18 @@ const char* cancel_reason_name(CancelReason reason);
 
 /// A wall-clock deadline (monotonic clock, so a system-time step can
 /// neither extend nor shorten a run).  Value type; cheap to copy.
+///
+/// The one budget type of the codebase: a run's --deadline, a daemon
+/// job's deadline_ms, a socket frame's read/write budget, a connection's
+/// idle budget and a lock wait are all a Deadline.  It is absolute, so
+/// partial progress (a peer dripping one byte per poll) never extends it.
 class Deadline {
  public:
   /// No deadline: never expires.
   Deadline() = default;
 
   static Deadline after_seconds(double seconds);
+  static Deadline after_ms(std::uint64_t ms);
 
   bool valid() const { return valid_; }
   bool expired() const {
@@ -66,6 +72,9 @@ class Deadline {
   }
   /// Seconds until expiry (negative once past); +inf when not valid().
   double remaining_seconds() const;
+  /// Whole milliseconds until expiry, clamped to [0, cap]: the timeout
+  /// for one bounded wait.  `cap` when not valid().
+  int remaining_ms(int cap) const;
 
  private:
   std::chrono::steady_clock::time_point at_{};

@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "util/cancel.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -101,10 +103,9 @@ void FileLock::release() noexcept {
 FileLock FileLock::acquire(const std::string& target_path, int timeout_ms) {
   SVA_FAILPOINT("cache.lock");
   const std::string lock_path = lock_sidecar_path(target_path);
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::milliseconds(timeout_ms);
-  const auto takeover_check_at =
-      start + std::chrono::milliseconds(timeout_ms / 2);
+  const auto budget_ms = static_cast<std::uint64_t>(std::max(timeout_ms, 0));
+  const Deadline deadline = Deadline::after_ms(budget_ms);
+  const Deadline takeover_check = Deadline::after_ms(budget_ms / 2);
   bool takeover_done = false;
   int backoff_ms = 1;
 
@@ -142,8 +143,7 @@ FileLock FileLock::acquire(const std::string& target_path, int timeout_ms) {
                   std::strerror(saved));
     }
 
-    const auto now = std::chrono::steady_clock::now();
-    if (!takeover_done && now >= takeover_check_at) {
+    if (!takeover_done && takeover_check.expired()) {
       takeover_done = true;
       const long holder = read_holder_pid(lock_path);
       if (holder > 0 && holder != static_cast<long>(::getpid()) &&
@@ -167,7 +167,7 @@ FileLock FileLock::acquire(const std::string& target_path, int timeout_ms) {
         continue;
       }
     }
-    if (now >= deadline) {
+    if (deadline.expired()) {
       ::close(fd);
       throw Error("timed out after " + std::to_string(timeout_ms) +
                   " ms waiting for lock '" + lock_path + "'");

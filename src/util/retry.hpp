@@ -18,6 +18,10 @@
 // each backoff so concurrent clients rejected together do not re-collide
 // on the same tick.
 //
+// The backoff doubles after every attempt, and the summed sleeps of one
+// with_retry call are capped at kMaxRetrySleep, so a server that keeps
+// answering Busy with long hints cannot stall its client indefinitely.
+//
 // Every swallowed failure counts the "io.retries" metric, so soak runs
 // show how often the transient path actually fired.
 
@@ -47,10 +51,13 @@ class TransientError : public Error {
   std::uint64_t retry_after_ms_;
 };
 
+/// Cap on the summed sleeps of one with_retry call: once reached, the
+/// next failure is rethrown whatever attempts remain.
+inline constexpr std::chrono::milliseconds kMaxRetrySleep{60'000};
+
 struct RetryPolicy {
   int max_attempts = 3;
   std::chrono::milliseconds initial_backoff{1};
-  int backoff_multiplier = 2;
   /// Extra uniform-random sleep in [0, max_jitter] per retry; 0 keeps the
   /// backoff deterministic (the cache-IO callers' behaviour).
   std::chrono::milliseconds max_jitter{0};
@@ -71,19 +78,21 @@ inline std::chrono::milliseconds jitter(std::chrono::milliseconds max) {
 
 /// Run `fn`, retrying transient sva::Error failures per `policy`.  Returns
 /// fn()'s value; rethrows FileMissingError immediately and the last error
-/// once attempts are exhausted.  A TransientError's retry_after_ms hint
-/// raises (never lowers below itself) the next sleep.
+/// once attempts or the kMaxRetrySleep budget are exhausted.  A
+/// TransientError's retry_after_ms hint raises (never lowers below
+/// itself) the next sleep; every sleep is clipped to the budget left.
 template <typename Fn>
 auto with_retry(const char* what, const RetryPolicy& policy, Fn&& fn)
     -> decltype(fn()) {
   auto backoff = policy.initial_backoff;
+  std::chrono::milliseconds slept{0};
   for (int attempt = 1;; ++attempt) {
     try {
       return fn();
     } catch (const FileMissingError&) {
       throw;  // permanent: absence is a state, not a fault
     } catch (const Error& e) {
-      if (attempt >= policy.max_attempts) throw;
+      if (attempt >= policy.max_attempts || slept >= kMaxRetrySleep) throw;
       const auto* transient = dynamic_cast<const TransientError*>(&e);
       if (policy.transient_only && transient == nullptr) throw;
       MetricsRegistry::global().counter("io.retries").add();
@@ -94,9 +103,11 @@ auto with_retry(const char* what, const RetryPolicy& policy, Fn&& fn)
         sleep_for = std::max(
             sleep_for, std::chrono::milliseconds(
                            static_cast<std::int64_t>(transient->retry_after_ms())));
-      sleep_for += retry_detail::jitter(policy.max_jitter);
+      sleep_for = std::min(sleep_for, kMaxRetrySleep - slept) +
+                  retry_detail::jitter(policy.max_jitter);
       std::this_thread::sleep_for(sleep_for);
-      backoff *= policy.backoff_multiplier;
+      slept += sleep_for;
+      backoff *= 2;
     }
   }
 }

@@ -123,7 +123,7 @@ TEST(OpcEngine, ResidualIsoDenseBiasRemains) {
   // features print systematically differently.
   const auto& proc = wafer_process();
   OpcEngine engine(proc, OpcConfig{});
-  const auto pts = characterize_post_opc_pitch(proc, engine, 90.0,
+  const auto pts = characterize_post_opc_pitch(engine, 90.0,
                                                {150.0, 300.0, 600.0});
   ASSERT_EQ(pts.size(), 3u);
   EXPECT_GT(post_opc_pitch_half_range(pts), 0.5);
@@ -247,7 +247,7 @@ TEST(PostOpcPitch, DenseLargerThanIso) {
   const auto& proc = wafer_process();
   OpcEngine engine(proc, OpcConfig{});
   const auto pts =
-      characterize_post_opc_pitch(proc, engine, 90.0, {150.0, 600.0});
+      characterize_post_opc_pitch(engine, 90.0, {150.0, 600.0});
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_GT(pts[0].printed_cd, pts[1].printed_cd);
 }
@@ -255,7 +255,7 @@ TEST(PostOpcPitch, DenseLargerThanIso) {
 TEST(PostOpcPitch, TableIsQueryable) {
   const auto& proc = wafer_process();
   OpcEngine engine(proc, OpcConfig{});
-  const auto pts = characterize_post_opc_pitch(proc, engine, 90.0,
+  const auto pts = characterize_post_opc_pitch(engine, 90.0,
                                                {150.0, 300.0, 600.0});
   const auto table = post_opc_spacing_table(pts);
   EXPECT_EQ(table.size(), 3u);
@@ -267,7 +267,7 @@ TEST(PostOpcPitch, RequiresOddArray) {
   const auto& proc = wafer_process();
   OpcEngine engine(proc, OpcConfig{});
   EXPECT_THROW(
-      characterize_post_opc_pitch(proc, engine, 90.0, {150.0}, 4),
+      characterize_post_opc_pitch(engine, 90.0, {150.0}, 4),
       PreconditionError);
 }
 
@@ -280,7 +280,7 @@ TEST_P(PostOpcAccuracy, ResidualBounded) {
   OpcEngine engine(proc, OpcConfig{});
   const double spacing = GetParam();
   const auto pts =
-      characterize_post_opc_pitch(proc, engine, 90.0, {spacing});
+      characterize_post_opc_pitch(engine, 90.0, {spacing});
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_GT(pts[0].printed_cd, 0.0);
   EXPECT_NEAR(pts[0].printed_cd, 90.0, 0.12 * 90.0);

@@ -726,6 +726,15 @@ TEST_F(CancelTest, DeadlineExpiryTripsOnPoll) {
   EXPECT_TRUE(later.valid());
   EXPECT_FALSE(later.expired());
   EXPECT_GT(later.remaining_seconds(), 3000.0);
+
+  // As a per-wait budget: no deadline gives every bounded wait its full
+  // cap, a spent one gives 0.
+  EXPECT_EQ(never.remaining_ms(50), 50);
+  EXPECT_EQ(Deadline::after_ms(3'600'000).remaining_ms(50), 50);
+  const Deadline spent = Deadline::after_ms(0);
+  EXPECT_TRUE(spent.expired());
+  EXPECT_EQ(spent.remaining_ms(50), 0);
+  EXPECT_LE(Deadline::after_ms(30).remaining_ms(50), 30);
 }
 
 TEST_F(CancelTest, CancelledErrorBypassesFaultHandlers) {

@@ -1542,6 +1542,71 @@ TEST(TimingServerTest, BatchOutputIsBitIdenticalAcrossLaneCounts) {
   }
 }
 
+TEST(TimingServerTest, BatchBusySlotsAreResubmittedOrGivenUp) {
+  // One lane, one queue slot, and every job held 50 ms: of four distinct
+  // specs admitted back to back, at least the last two find the queue
+  // full and come back Busy, so the client's resubmit path must land them.
+  ServerHarness harness(/*queue_depth=*/1, /*lanes=*/1);
+  FailPointGuard guard;
+  FailPoints::set("server.lane.run", "delay(50)");
+
+  // Analyze only: its output is all on stdout (ssta would also write its
+  // default criticality CSV into the working directory).
+  const std::vector<std::vector<std::string>> circuits = {
+      {"C432"}, {"C499"}, {"C880"}, {"C432", "C499"}};
+  std::vector<Frame> singles_req;
+  for (const auto& names : circuits) {
+    AnalyzeRequest req;
+    req.spec.circuits = names;
+    singles_req.push_back(
+        {MsgType::AnalyzeRequest, encode_analyze_request(req)});
+  }
+
+  // What the batch client must print: each slot's header followed by the
+  // bytes the same spec produces over its own connection.
+  std::string expected;
+  BatchRequest batch;
+  for (int i = 0; i < 4; ++i) {
+    ServerClient client(harness.socket_path);
+    const Frame single = client.call(singles_req[i]);
+    ASSERT_EQ(single.type, MsgType::ResultResponse) << "single " << i;
+    expected += "== batch job " + std::to_string(i + 1) + "/4 ==\n" +
+                decode_result_response(single.body).output;
+    batch.items.push_back(
+        {static_cast<std::uint8_t>(singles_req[i].type), singles_req[i].body});
+  }
+
+  ClientRetryConfig retry;
+  retry.retries = 25;
+  retry.initial_backoff = std::chrono::milliseconds(5);
+  retry.max_jitter = std::chrono::milliseconds(5);
+  const std::uint64_t rejected_before =
+      MetricsRegistry::global().counter("server.jobs_rejected").value();
+  testing::internal::CaptureStdout();
+  const int landed = run_remote_batch(harness.socket_path, batch, {}, retry);
+  const std::string landed_out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(landed, kExitOk);
+  EXPECT_EQ(strip_variance(landed_out), strip_variance(expected));
+  EXPECT_GT(MetricsRegistry::global().counter("server.jobs_rejected").value(),
+            rejected_before)
+      << "no slot was ever answered Busy";
+
+  // No retries: the Busy slots are delivered as failures after a logged
+  // give-up instead of being resubmitted.
+  retry.retries = 0;
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int gave_up = run_remote_batch(harness.socket_path, batch, {}, retry);
+  testing::internal::GetCapturedStdout();
+  const std::string gave_up_err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(gave_up, kExitJobsFailed);
+  EXPECT_NE(gave_up_err.find("batch: giving up on "), std::string::npos)
+      << gave_up_err;
+  EXPECT_NE(gave_up_err.find(" busy slot(s) after 0 retries"),
+            std::string::npos)
+      << gave_up_err;
+}
+
 // --- slow-client defense ----------------------------------------------
 
 TEST(TimingServerTest, SlowLorisPeerIsEvictedWithoutPerturbingAFastClient) {
@@ -1635,17 +1700,22 @@ TEST(TimingServerTest, OverMaxConnsIsShedWithBusyAndRetryHint) {
 
   // Acquire the one supervised slot.  The harness's listen probe may
   // still hold it for a poll tick, so retry until a full ping round-trip
-  // proves this connection is the supervised one (a shed connection
-  // answers Busy instead).
+  // proves this connection is the supervised one.  A shed connection
+  // answers Busy and is closed at once, so a ping written after that
+  // close fails with EPIPE (or the read sees a reset or EOF): that is a
+  // shed attempt too, not a test failure.
   Fd holder;
   bool held = false;
   const std::string hold_ping = encode_frame({MsgType::PingRequest, ""});
   for (int i = 0; i < 200 && !held; ++i) {
-    holder = unix_connect(harness.socket_path);
-    write_all(holder.get(), hold_ping.data(), hold_ping.size());
-    std::optional<Frame> hold_pong = read_frame(holder.get());
-    ASSERT_TRUE(hold_pong.has_value());
-    if (hold_pong->type == MsgType::PongResponse) {
+    std::optional<Frame> hold_pong;
+    try {
+      holder = unix_connect(harness.socket_path);
+      write_all(holder.get(), hold_ping.data(), hold_ping.size());
+      hold_pong = read_frame(holder.get());
+    } catch (const SocketError&) {
+    }
+    if (hold_pong && hold_pong->type == MsgType::PongResponse) {
       held = true;
     } else {
       holder.close_now();
