@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus robustness passes: fault-injection smoke tests on the
-# CLI, ThreadSanitizer on the execution engine, AddressSanitizer over the
-# full tier-1 suite, and UndefinedBehaviorSanitizer over the full suite.
+# CLI, a peak-RSS scale guard on C7552 SSTA, ThreadSanitizer on the
+# execution engine, STA and SSTA, AddressSanitizer over the full tier-1
+# suite, and UndefinedBehaviorSanitizer over the full suite.
 #
 #   scripts/check.sh            full check (build + ctest + faults + sanitizers)
 #   scripts/check.sh --fast     skip the sanitizer rebuilds
@@ -538,21 +539,46 @@ echo "== kernel bench smoke: compiled/scalar bit-identity on C432 =="
 cmake --build build -j --target bench_sta_kernel
 ./build/bench/bench_sta_kernel --smoke
 
+echo "== scale guard: C7552 ssta peak RSS stays cone-sized =="
+# SSTA keeps each net's residual coefficients over its fanin-cone support
+# and frees them after their last reader's level, so memory follows the
+# live frontier (~55 MB); full-length per-net vectors would need ~625 MB.
+# The child's ru_maxrss is its VmHWM; there is no /usr/bin/time to ask.
+SSTA_RSS_BOUND_MB=128
+ssta_rss_mb="$(python3 - "$CLI" "$CACHE_DIR" <<'PY'
+import resource, subprocess, sys
+cli, cache = sys.argv[1], sys.argv[2]
+subprocess.run([cli, "ssta", "C7552", "--cache-dir", cache,
+                "--csv", cache + "/ssta_c7552.csv"],
+               check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+PY
+)"
+if [[ "$ssta_rss_mb" -ge "$SSTA_RSS_BOUND_MB" ]]; then
+  echo "FAIL: ssta C7552 peaked at ${ssta_rss_mb} MB (bound ${SSTA_RSS_BOUND_MB} MB)"
+  exit 1
+fi
+echo "ssta C7552 peak RSS ${ssta_rss_mb} MB (bound ${SSTA_RSS_BOUND_MB} MB)"
+
 if [[ "$FAST" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="
   exit 0
 fi
 
-echo "== TSan: engine_test + sta_test + server_test under -fsanitize=thread =="
+echo "== TSan: engine_test + sta_test + server_test + ssta_test under -fsanitize=thread =="
 # sta_test drives the compiled kernel through run_parallel at several
 # thread counts, extending race coverage to the flat-arena evaluate path;
 # server_test covers the daemon's lane pool, watchdog, and the JobQueue
-# close/drain races under concurrent pushers.
+# close/drain races under concurrent pushers; the ssta_test parallel and
+# dense-oracle suites cover SSTA's split levels and the serial
+# between-level release of coefficient lists.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j --target engine_test sta_test server_test
+cmake --build build-tsan -j --target engine_test sta_test server_test ssta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ssta_test \
+  --gtest_filter='SstaParallel.*:*SstaDense.*'
 
 echo "== ASan: full tier-1 suite + kernel bench smoke under -fsanitize=address =="
 cmake -B build-asan -S . -DSVA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "core/scales.hpp"
 #include "sta/scale.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace sva {
 
@@ -76,6 +79,36 @@ std::vector<std::vector<double>> mean_factor_matrix(
   return out;
 }
 
+/// acc := acc U add (both ascending, duplicate-free); `tmp` is scratch.
+void union_into(std::vector<std::uint32_t>& acc,
+                const std::vector<std::uint32_t>& add,
+                std::vector<std::uint32_t>& tmp) {
+  tmp.clear();
+  std::set_union(acc.begin(), acc.end(), add.begin(), add.end(),
+                 std::back_inserter(tmp));
+  acc.swap(tmp);
+}
+
+/// Spread the values of a sub-support onto a support that contains it:
+/// out[k] is the value at slots[k], 0 where `sub` has no entry.
+void scatter(const std::vector<std::uint32_t>& slots,
+             const std::vector<std::uint32_t>& sub,
+             const std::vector<double>& values, std::vector<double>& out) {
+  out.assign(slots.size(), 0.0);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < sub.size(); ++i) {
+    while (slots[k] != sub[i]) ++k;
+    out[k] = values[i];
+  }
+}
+
+/// Position of a slot known to be in an ascending support.
+std::size_t position_of(const std::vector<std::uint32_t>& slots,
+                        std::size_t slot) {
+  return static_cast<std::size_t>(
+      std::lower_bound(slots.begin(), slots.end(), slot) - slots.begin());
+}
+
 }  // namespace
 
 SstaEngine::SstaEngine(const Netlist& netlist,
@@ -107,7 +140,26 @@ SstaEngine::SstaEngine(const Netlist& netlist,
     res_offset_[gi] = arc_total_;
     arc_total_ += factors_[gi].size();
   }
-  n_res_ = arc_total_ + factors_.size();
+  SVA_REQUIRE_MSG(arc_total_ + factors_.size() <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "too many SSTA residual slots");
+
+  // Liveness: a net's coefficients are last read on the level of its
+  // last sink (its driver's level when it has none).  Primary inputs
+  // carry no residuals, and POs feed the chip fold after the last level.
+  release_.resize(levels_.size());
+  for (std::size_t ni = 0; ni < netlist.nets().size(); ++ni) {
+    const Net& net = netlist.nets()[ni];
+    if (net.is_primary_input() || net.is_primary_output) continue;
+    std::size_t last = level[net.driver_gate];
+    for (const NetSink& sink : net.sinks)
+      last = std::max(last, level[sink.gate]);
+    release_[last].push_back(ni);
+  }
+
+  MetricsRegistry& metrics = MetricsRegistry::global();
+  propagate_timer_ = &metrics.timer("ssta.propagate");
+  coef_peak_ = &metrics.counter("ssta.coef_entries_peak");
 }
 
 const CanonicalDelay& SstaEngine::arc_factor(std::size_t gate,
@@ -125,12 +177,29 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
   const auto pins = nl.input_pins_of(gate.cell_index);
   const std::size_t n = gate.fanin_nets.size();
 
+  // The gate's support: its arc slots, its max-noise slot and every
+  // fanin support, ascending.  Every coefficient below is exactly 0
+  // outside it, so each loop runs over the support alone and still adds
+  // the same nonzero terms in the same ascending-slot order.
+  std::vector<std::uint32_t> slots;
+  slots.reserve(n + 1);
+  for (std::size_t pi = 0; pi < n; ++pi)
+    slots.push_back(static_cast<std::uint32_t>(
+        res_offset_[gi] + cell.arc_for(pins[pi]).arc_index));
+  slots.push_back(static_cast<std::uint32_t>(arc_total_ + gi));
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  std::vector<std::uint32_t> tmp;
+  for (std::size_t in_net : gate.fanin_nets)
+    union_into(slots, st.coef[in_net].slots, tmp);
+  const std::size_t m = slots.size();
+
   CanonicalDelay acc;
   std::vector<double>& q = st.gate_pin_tightness[gi];
   q.assign(n, 0.0);
   std::vector<SlewSensitivity> cand_slew(n);
-  std::vector<double> acc_coef(n_res_, 0.0);
-  std::vector<double> cand_coef(n_res_, 0.0);
+  std::vector<double> acc_coef(m, 0.0);
+  std::vector<double> cand_coef(m, 0.0);
   std::vector<std::vector<double>> cand_slew_coef(n);
 
   for (std::size_t pi = 0; pi < n; ++pi) {
@@ -161,108 +230,112 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
     // Arrival candidate: fanin arrival + wire + factor * table delay,
     // with the slew chain folded in (k = d(delay)/d(slew) at the mean
     // factor).  Shared variables (focus, global) chain linearly; the
-    // local term chains as a coefficient vector over the independent
-    // residuals, so every correlation -- the fanin's slew/arrival
-    // overlap, reconvergent fanin cones, this arc's fresh residual
-    // scaling both delay and output slew -- is carried exactly.
+    // local term chains as coefficients over the independent residuals,
+    // so every correlation -- the fanin's slew/arrival overlap,
+    // reconvergent fanin cones, this arc's fresh residual scaling both
+    // delay and output slew -- is carried exactly.
     const double k = fac.mean_ps * dd_dslew;
-    const std::vector<double>& ain_c = st.arr_coef[in_net];
-    const std::vector<double>& sin_c = st.slew_coef[in_net];
-    const std::size_t rid = res_offset_[gi] + arc.arc_index;
+    const double ks = fac.mean_ps * dso_dslew;
+    const std::size_t rid =
+        position_of(slots, res_offset_[gi] + arc.arc_index);
 
     CanonicalDelay cand;
     cand.mean_ps = ain.mean_ps + wire_delay + fac.mean_ps * d0;
     cand.a_focus_ps = ain.a_focus_ps + fac.a_focus_ps * d0 + k * sin.a_focus_ps;
     cand.a_global_ps =
         ain.a_global_ps + fac.a_global_ps * d0 + k * sin.a_global_ps;
-    double cand_var = 0.0;
-    for (std::size_t j = 0; j < n_res_; ++j) {
-      cand_coef[j] = ain_c[j] + k * sin_c[j];
-      if (j == rid) cand_coef[j] += fac.local_ps * d0;
-      cand_var += cand_coef[j] * cand_coef[j];
-    }
-    cand.local_ps = std::sqrt(cand_var);
-
     // Output-slew candidate, same first-order chain.
-    const double ks = fac.mean_ps * dso_dslew;
     SlewSensitivity& cs = cand_slew[pi];
     cs.a_focus_ps = fac.a_focus_ps * so0 + ks * sin.a_focus_ps;
     cs.a_global_ps = fac.a_global_ps * so0 + ks * sin.a_global_ps;
+
+    // One pass over the gate support builds both candidates' coefficients
+    // (the fanin's are 0 where its own support has no entry) and, for the
+    // Clark fold below, the local covariance with the incumbent: the
+    // exact dot product of their residual coefficients (the incumbent's
+    // unassigned max-noise part is independent of the candidate, so it
+    // rightly contributes nothing).
+    const NetCoef& in_c = st.coef[in_net];
     std::vector<double>& cs_c = cand_slew_coef[pi];
-    cs_c.assign(n_res_, 0.0);
+    cs_c.resize(m);
+    double cand_var = 0.0;
     double cs_var = 0.0;
-    for (std::size_t j = 0; j < n_res_; ++j) {
-      cs_c[j] = ks * sin_c[j];
-      if (j == rid) cs_c[j] += fac.local_ps * so0;
-      cs_var += cs_c[j] * cs_c[j];
+    double lcov = 0.0;
+    std::size_t p = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      double a = 0.0;
+      double s = 0.0;
+      if (p < in_c.slots.size() && in_c.slots[p] == slots[j]) {
+        a = in_c.arr[p];
+        s = in_c.slew[p];
+        ++p;
+      }
+      double c = a + k * s;
+      double cs_j = ks * s;
+      if (j == rid) {
+        c += fac.local_ps * d0;
+        cs_j += fac.local_ps * so0;
+      }
+      cand_coef[j] = c;
+      cand_var += c * c;
+      cs_c[j] = cs_j;
+      cs_var += cs_j * cs_j;
+      lcov += acc_coef[j] * c;
     }
+    cand.local_ps = std::sqrt(cand_var);
     cs.local_ps = std::sqrt(cs_var);
 
     // Left-fold Clark max in pin order; the fold updates the selection
-    // probabilities so they sum to exactly 1.  The local covariance of
-    // the incumbent and the candidate is the exact dot product of their
-    // residual vectors (the incumbent's unassigned max-noise part is
-    // independent of the candidate, so it rightly contributes nothing).
+    // probabilities so they sum to exactly 1.
     if (pi == 0) {
       acc = cand;
       acc_coef.swap(cand_coef);
-      cand_coef.assign(n_res_, 0.0);
       q[0] = 1.0;
     } else {
-      double lcov = 0.0;
-      for (std::size_t j = 0; j < n_res_; ++j)
-        lcov += acc_coef[j] * cand_coef[j];
-      const ClarkMax m = clark_max(acc, cand, lcov);
-      const double t = m.tightness_a;
+      const ClarkMax cm = clark_max(acc, cand, lcov);
+      const double t = cm.tightness_a;
       for (std::size_t j = 0; j < pi; ++j) q[j] *= t;
       q[pi] = 1.0 - t;
-      for (std::size_t j = 0; j < n_res_; ++j)
+      for (std::size_t j = 0; j < m; ++j)
         acc_coef[j] = t * acc_coef[j] + (1.0 - t) * cand_coef[j];
-      acc = m.value;
+      acc = cm.value;
     }
   }
 
-  // The tightness-blended vector under-counts the Clark-matched
+  // The tightness-blended coefficients under-count the Clark-matched
   // variance (max of two forms is noisier than their blend); park the
   // deficit in this gate's own max-noise slot so downstream consumers
   // see it as a shared -- not independent -- residual.
   double mix_var = 0.0;
-  for (std::size_t j = 0; j < n_res_; ++j) mix_var += acc_coef[j] * acc_coef[j];
+  for (std::size_t j = 0; j < m; ++j) mix_var += acc_coef[j] * acc_coef[j];
   const double deficit = acc.local_ps * acc.local_ps - mix_var;
-  acc_coef[arc_total_ + gi] = std::sqrt(std::max(deficit, 0.0));
+  acc_coef[position_of(slots, arc_total_ + gi)] =
+      std::sqrt(std::max(deficit, 0.0));
   acc.local_ps = std::sqrt(mix_var + std::max(deficit, 0.0));
 
   // Merged output slew: tightness-weighted blend of the per-pin slews
   // (first-order moment matching of the selected slew), componentwise on
-  // the residual vectors so downstream correlation survives the merge.
+  // the residual coefficients so downstream correlation survives the
+  // merge.
   SlewSensitivity merged;
-  std::vector<double> merged_coef(n_res_, 0.0);
+  std::vector<double> merged_coef(m, 0.0);
   for (std::size_t pi = 0; pi < n; ++pi) {
     merged.a_focus_ps += q[pi] * cand_slew[pi].a_focus_ps;
     merged.a_global_ps += q[pi] * cand_slew[pi].a_global_ps;
     const std::vector<double>& cs_c = cand_slew_coef[pi];
-    for (std::size_t j = 0; j < n_res_; ++j) merged_coef[j] += q[pi] * cs_c[j];
+    for (std::size_t j = 0; j < m; ++j) merged_coef[j] += q[pi] * cs_c[j];
   }
   double merged_var = 0.0;
-  for (std::size_t j = 0; j < n_res_; ++j)
+  for (std::size_t j = 0; j < m; ++j)
     merged_var += merged_coef[j] * merged_coef[j];
   merged.local_ps = std::sqrt(merged_var);
 
   st.arrival[gate.output_net] = acc;
   st.slew_sens[gate.output_net] = merged;
-  st.arr_coef[gate.output_net] = std::move(acc_coef);
-  st.slew_coef[gate.output_net] = std::move(merged_coef);
-}
-
-SstaEngine::State SstaEngine::make_state() const {
-  const Netlist& nl = *netlist_;
-  State st;
-  st.arrival.assign(nl.nets().size(), CanonicalDelay{});
-  st.slew_sens.assign(nl.nets().size(), SlewSensitivity{});
-  st.gate_pin_tightness.resize(nl.gates().size());
-  st.arr_coef.assign(nl.nets().size(), std::vector<double>(n_res_, 0.0));
-  st.slew_coef.assign(nl.nets().size(), std::vector<double>(n_res_, 0.0));
-  return st;
+  NetCoef& out = st.coef[gate.output_net];
+  out.slots = std::move(slots);
+  out.arr = std::move(acc_coef);
+  out.slew = std::move(merged_coef);
 }
 
 SstaResult SstaEngine::finalize(State st) const {
@@ -272,28 +345,37 @@ SstaResult SstaEngine::finalize(State st) const {
   // Chip max: fold over primary outputs in net-index order (serial, so
   // the result is identical no matter how the forward pass was split).
   // Endpoints share most of their cones, so the fold carries the same
-  // exact local covariance the per-gate merges use.
+  // exact local covariance the per-gate merges use, over the union of
+  // the PO supports.
   for (std::size_t ni = 0; ni < nl.nets().size(); ++ni)
     if (nl.nets()[ni].is_primary_output) out.po_nets.push_back(ni);
   SVA_REQUIRE_MSG(!out.po_nets.empty(), "netlist has no primary outputs");
 
+  std::vector<std::uint32_t> slots;
+  std::vector<std::uint32_t> tmp;
+  for (std::size_t po : out.po_nets) union_into(slots, st.coef[po].slots, tmp);
+  const std::size_t m = slots.size();
+
   out.po_tightness.assign(out.po_nets.size(), 0.0);
   out.critical = st.arrival[out.po_nets[0]];
-  std::vector<double> crit_coef = st.arr_coef[out.po_nets[0]];
+  std::vector<double> crit_coef;
+  std::vector<double> cand_coef;
+  scatter(slots, st.coef[out.po_nets[0]].slots, st.coef[out.po_nets[0]].arr,
+          crit_coef);
   out.po_tightness[0] = 1.0;
   for (std::size_t i = 1; i < out.po_nets.size(); ++i) {
     const CanonicalDelay& cand = st.arrival[out.po_nets[i]];
-    const std::vector<double>& cand_coef = st.arr_coef[out.po_nets[i]];
+    const NetCoef& cand_c = st.coef[out.po_nets[i]];
+    scatter(slots, cand_c.slots, cand_c.arr, cand_coef);
     double lcov = 0.0;
-    for (std::size_t j = 0; j < n_res_; ++j)
-      lcov += crit_coef[j] * cand_coef[j];
-    const ClarkMax m = clark_max(out.critical, cand, lcov);
-    const double t = m.tightness_a;
+    for (std::size_t j = 0; j < m; ++j) lcov += crit_coef[j] * cand_coef[j];
+    const ClarkMax cm = clark_max(out.critical, cand, lcov);
+    const double t = cm.tightness_a;
     for (std::size_t j = 0; j < i; ++j) out.po_tightness[j] *= t;
     out.po_tightness[i] = 1.0 - t;
-    for (std::size_t j = 0; j < n_res_; ++j)
+    for (std::size_t j = 0; j < m; ++j)
       crit_coef[j] = t * crit_coef[j] + (1.0 - t) * cand_coef[j];
-    out.critical = m.value;
+    out.critical = cm.value;
   }
 
   out.arrival = std::move(st.arrival);
@@ -302,34 +384,55 @@ SstaResult SstaEngine::finalize(State st) const {
   return out;
 }
 
-SstaResult SstaEngine::run() const {
+SstaResult SstaEngine::propagate(ThreadPool* pool,
+                                 const CancelToken* cancel) const {
   SVA_FAILPOINT("ssta.propagate");
+  const ScopedTimer timer(*propagate_timer_);
   const Netlist& nl = *netlist_;
-  State st = make_state();
-  for (std::size_t gi : nl.topological_order()) evaluate_gate(gi, st);
+  State st;
+  st.arrival.assign(nl.nets().size(), CanonicalDelay{});
+  st.slew_sens.assign(nl.nets().size(), SlewSensitivity{});
+  st.gate_pin_tightness.resize(nl.gates().size());
+  st.coef.resize(nl.nets().size());
+
+  // A gate evaluation walks its whole cone support (hundreds to
+  // thousands of slots, tens of us) -- far above the ~us STA gate that
+  // Sta's 64-gate grain is sized for -- so levels split into small
+  // tasks.  Each gate writes only its own output net, so the split
+  // never changes a bit.
+  constexpr std::size_t kGrain = 4;
+  std::size_t live = 0;
+  std::size_t peak = 0;
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    const std::vector<std::size_t>& level = levels_[l];
+    if (cancel) cancel->check();
+    if (pool == nullptr || pool->thread_count() == 0 ||
+        level.size() < 2 * kGrain) {
+      for (std::size_t gi : level) evaluate_gate(gi, st);
+    } else {
+      pool->parallel_for(
+          0, level.size(), [&](std::size_t i) { evaluate_gate(level[i], st); },
+          kGrain);
+    }
+    // Serial step between levels: count the new lists, then free those
+    // no later level reads.
+    for (std::size_t gi : level)
+      live += st.coef[nl.gates()[gi].output_net].slots.size();
+    peak = std::max(peak, live);
+    for (std::size_t ni : release_[l]) {
+      live -= st.coef[ni].slots.size();
+      st.coef[ni] = NetCoef{};
+    }
+  }
+  coef_peak_->add(peak);
   return finalize(std::move(st));
 }
 
+SstaResult SstaEngine::run() const { return propagate(nullptr, nullptr); }
+
 SstaResult SstaEngine::run_parallel(ThreadPool& pool,
                                     const CancelToken* cancel) const {
-  SVA_FAILPOINT("ssta.propagate");
-  State st = make_state();
-
-  // Same inline/split threshold as Sta::run_parallel: a canonical gate
-  // evaluation is a few NLDM lookups plus Clark folds (~us), so narrow
-  // levels are pure fork/join overhead.
-  constexpr std::size_t kGrain = 64;
-  for (const std::vector<std::size_t>& level : levels_) {
-    if (cancel) cancel->check();
-    if (pool.thread_count() == 0 || level.size() < 2 * kGrain) {
-      for (std::size_t gi : level) evaluate_gate(gi, st);
-      continue;
-    }
-    pool.parallel_for(
-        0, level.size(), [&](std::size_t i) { evaluate_gate(level[i], st); },
-        kGrain);
-  }
-  return finalize(std::move(st));
+  return propagate(&pool, cancel);
 }
 
 }  // namespace sva

@@ -23,11 +23,19 @@
 // slew sensitivity triples propagate through finite-difference
 // derivatives of the delay/slew tables.
 //
+// Local terms are carried exactly, as one coefficient per independent
+// residual, but each net stores them only over its fanin-cone support
+// and only until its last reader's level has run: memory follows the
+// live frontier of cones, not nets x residuals.  Slots outside a support
+// hold exactly 0, so skipping them leaves every ascending-slot sum
+// bit-identical to a dense per-net vector.
+//
 // The engine mirrors Sta's levelized structure, so run_parallel() is
 // bit-identical to run() at any thread count: each gate reads only
 // lower-level nets and writes only its own output state.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "cell/context_library.hpp"
@@ -53,8 +61,8 @@ struct SstaVariationModel {
 };
 
 /// First-order sensitivities of a net's slew (all ps).  `local_ps` is
-/// the norm of the net's per-residual slew coefficient vector; the full
-/// vector lives in the propagation state, not in the public result.
+/// the norm of the net's per-residual slew coefficients; the
+/// coefficients live in the propagation state, not in the public result.
 struct SlewSensitivity {
   double a_focus_ps = 0.0;
   double a_global_ps = 0.0;
@@ -109,23 +117,31 @@ class SstaEngine {
                                    std::size_t arc_index) const;
 
  private:
+  /// One net's local terms over its fanin-cone support.  `slots` lists,
+  /// ascending, the residual slots (see res_offset_) the net's arrival
+  /// depends on; `arr` and `slew` hold the arrival and slew coefficient
+  /// at each.  Every slot outside the list has coefficient exactly 0.
+  /// Slew support is a subset of arrival support (by induction over the
+  /// levels), so one index list serves both.  `arrival[n].local_ps`
+  /// equals the norm of `arr` by construction, and the dot product of
+  /// two nets' coefficients is their exact first-order local covariance
+  /// -- this is what keeps reconvergent merges honest.
+  struct NetCoef {
+    std::vector<std::uint32_t> slots;
+    std::vector<double> arr;
+    std::vector<double> slew;
+  };
+
   struct State {
     std::vector<CanonicalDelay> arrival;
     std::vector<SlewSensitivity> slew_sens;
     std::vector<std::vector<double>> gate_pin_tightness;
-    /// Per net: coefficient of each independent residual in the net's
-    /// arrival (resp. slew) local term.  Index space is one slot per
-    /// (gate, master-arc) CD residual followed by one slot per gate for
-    /// the Clark max-nonlinearity noise.  `arrival[n].local_ps` equals
-    /// the norm of `arr_coef[n]` by construction, and the dot product of
-    /// two nets' vectors is their exact first-order local covariance --
-    /// this is what keeps reconvergent merges honest.
-    std::vector<std::vector<double>> arr_coef;
-    std::vector<std::vector<double>> slew_coef;
+    std::vector<NetCoef> coef;  ///< per net; freed after its last reader
   };
 
   void evaluate_gate(std::size_t gate, State& state) const;
-  State make_state() const;
+  /// The level loop behind run() (`pool` null) and run_parallel().
+  SstaResult propagate(ThreadPool* pool, const CancelToken* cancel) const;
   SstaResult finalize(State state) const;
 
   const Netlist* netlist_;
@@ -139,10 +155,15 @@ class SstaEngine {
   std::vector<std::vector<std::size_t>> levels_;
   /// Residual index space: res_offset_[g] + arc_index addresses the CD
   /// residual of one (gate, master-arc); arc_total_ + g addresses the
-  /// gate's max-noise slot; n_res_ is the total dimension.
+  /// gate's max-noise slot.
   std::vector<std::size_t> res_offset_;
   std::size_t arc_total_ = 0;
-  std::size_t n_res_ = 0;
+  /// release_[l]: the non-PO nets last read on level l; their coefficient
+  /// lists are freed once level l finishes, so only the live frontier
+  /// holds memory.  POs stay live for the chip fold.
+  std::vector<std::vector<std::size_t>> release_;
+  class TimerStat* propagate_timer_ = nullptr;  ///< ssta.propagate
+  class Counter* coef_peak_ = nullptr;          ///< ssta.coef_entries_peak
 };
 
 }  // namespace sva
