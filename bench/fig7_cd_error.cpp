@@ -26,10 +26,10 @@ int main() {
   std::printf("=== Fig. 7: post-OPC CD error distribution (C3540) ===\n\n");
 
   const SvaFlow flow{FlowConfig{}};
+  const LithoModels litho(flow.config());
   const Netlist netlist = flow.make_benchmark("C3540");
   const Placement placement = flow.make_placement(netlist);
-  const FullChipOpcResult full =
-      full_chip_opc(placement, flow.opc_engine());
+  const FullChipOpcResult full = full_chip_opc(placement, litho.engine());
 
   const Nm drawn = flow.config().cell_tech.gate_length;
   std::vector<double> errors;

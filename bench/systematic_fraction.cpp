@@ -28,6 +28,7 @@ int main() {
               "context model ===\n\n");
 
   const SvaFlow flow{FlowConfig{}};
+  const LithoModels litho(flow.config());
   Table table({"Testcase", "#Devices", "CD sigma (nm)",
                "Residual sigma (nm)", "Variance explained"});
   std::string csv = "testcase,devices,sigma,residual_sigma,explained\n";
@@ -35,8 +36,7 @@ int main() {
   for (const char* name : {"C432", "C880", "C1355"}) {
     const Netlist netlist = flow.make_benchmark(name);
     const Placement placement = flow.make_placement(netlist);
-    const FullChipOpcResult full =
-        full_chip_opc(placement, flow.opc_engine());
+    const FullChipOpcResult full = full_chip_opc(placement, litho.engine());
     const auto versions = flow.bind_versions(placement);
 
     std::vector<double> truth;

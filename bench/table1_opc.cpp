@@ -39,10 +39,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main() {
   std::printf("=== Table 1: library-based OPC vs full-chip OPC ===\n\n");
 
-  const auto t_setup = std::chrono::steady_clock::now();
   const SvaFlow flow{FlowConfig{}};
   const double library_seconds = flow.setup_opc_seconds();
-  (void)t_setup;
+  const LithoModels litho(flow.config());
 
   Table table({"Testcase", "#Gates", "#Devices", "N-1%", "N-3%", "N-6%",
                "Periphery N-6%", "Runtime (s)"});
@@ -53,7 +52,7 @@ int main() {
     const Placement placement = flow.make_placement(netlist);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const FullChipOpcResult full = full_chip_opc(placement, flow.opc_engine());
+    const FullChipOpcResult full = full_chip_opc(placement, litho.engine());
     const double seconds = seconds_since(t0);
 
     // Per-device error of the library-OPC prediction vs full-chip truth.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus robustness passes: fault-injection smoke tests on the
-# CLI, a peak-RSS scale guard on C7552 SSTA, ThreadSanitizer on the
-# execution engine, STA and SSTA, AddressSanitizer over the full tier-1
-# suite, and UndefinedBehaviorSanitizer over the full suite.
+# Tier-1 verify plus robustness passes: the paper-anchor CSVs regenerated
+# byte for byte, fault-injection smoke tests on the CLI, a peak-RSS scale
+# guard on C7552 SSTA, ThreadSanitizer on the execution engine, STA and
+# SSTA, AddressSanitizer over the full tier-1 suite, and
+# UndefinedBehaviorSanitizer over the full suite.
 #
 #   scripts/check.sh            full check (build + ctest + faults + sanitizers)
 #   scripts/check.sh --fast     skip the sanitizer rebuilds
@@ -26,6 +27,22 @@ cmake -B build -S .
 cmake --build build -j
 # --timeout backstops the per-test TIMEOUT property: nothing hangs CI.
 (cd build && ctest --output-on-failure -j --timeout 300)
+
+echo "== paper anchors: regenerated CSVs byte-identical to the checked-in ones =="
+# Table 2, the systematic fraction and the Fig. 7 error distribution are
+# deterministic, so a rebuild must reproduce the checked-in files exactly.
+# The benches write into their working directory, hence the temp dir.
+ANCHOR_DIR="$CACHE_DIR/anchors"
+mkdir -p "$ANCHOR_DIR"
+for anchor in table2_timing systematic_fraction fig7_cd_error; do
+  bench="$PWD/build/bench/bench_$anchor"
+  (cd "$ANCHOR_DIR" && "$bench" >/dev/null)
+  if ! cmp "$ANCHOR_DIR/$anchor.csv" "$anchor.csv"; then
+    echo "FAIL: regenerated $anchor.csv differs from the checked-in file"
+    exit 1
+  fi
+done
+echo "table2_timing, systematic_fraction and fig7_cd_error CSVs reproduced"
 
 echo "== persistent cache: cold vs warm CLI runs =="
 CLI=./build/src/cli/sva-timing

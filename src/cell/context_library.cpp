@@ -21,12 +21,6 @@ ContextBins::ContextBins(std::vector<Nm> upper_edges,
   for (Nm r : representatives_) SVA_REQUIRE(r > 0.0);
 }
 
-std::size_t ContextBins::bin_of(Nm spacing) const {
-  for (std::size_t i = 0; i < upper_edges_.size(); ++i)
-    if (spacing < upper_edges_[i]) return i;
-  return upper_edges_.size();
-}
-
 Nm ContextBins::representative(std::size_t bin) const {
   SVA_REQUIRE(bin < representatives_.size());
   return representatives_[bin];

@@ -41,7 +41,13 @@ class ContextBins {
   ContextBins(std::vector<Nm> upper_edges, std::vector<Nm> representatives);
 
   std::size_t count() const { return representatives_.size(); }
-  std::size_t bin_of(Nm spacing) const;
+  /// Bin of a spacing; inline, as version binding calls it four times
+  /// per placed instance.
+  std::size_t bin_of(Nm spacing) const {
+    for (std::size_t i = 0; i < upper_edges_.size(); ++i)
+      if (spacing < upper_edges_[i]) return i;
+    return upper_edges_.size();
+  }
   Nm representative(std::size_t bin) const;
 
   const std::vector<Nm>& upper_edges() const { return upper_edges_; }

@@ -33,18 +33,21 @@ DeviceClass classify_device(Nm s_left, Nm s_right, Nm contacted_pitch) {
 
 ArcClass classify_arc(const std::vector<DeviceClass>& devices,
                       ArcLabelPolicy policy) {
-  SVA_REQUIRE_MSG(!devices.empty(), "arc must involve at least one device");
-  std::size_t dense = 0;
-  std::size_t isolated = 0;
-  for (DeviceClass c : devices) {
-    if (c == DeviceClass::Dense) ++dense;
-    if (c == DeviceClass::Isolated) ++isolated;
-  }
-  const std::size_t selfcomp = devices.size() - dense - isolated;
+  DeviceClassTally tally;
+  for (DeviceClass c : devices) tally.add(c);
+  return classify_tally(tally, policy);
+}
+
+ArcClass classify_tally(const DeviceClassTally& tally,
+                        ArcLabelPolicy policy) {
+  SVA_REQUIRE_MSG(tally.total > 0, "arc must involve at least one device");
+  const std::size_t dense = tally.dense;
+  const std::size_t isolated = tally.isolated;
+  const std::size_t selfcomp = tally.total - dense - isolated;
 
   if (policy == ArcLabelPolicy::Conservative) {
-    if (dense == devices.size()) return ArcClass::Smile;
-    if (isolated == devices.size()) return ArcClass::Frown;
+    if (dense == tally.total) return ArcClass::Smile;
+    if (isolated == tally.total) return ArcClass::Frown;
     return ArcClass::SelfCompensated;
   }
   // Majority policy.

@@ -12,6 +12,7 @@
 // majority vote (footnote 6); a conservative policy (any mix ->
 // self-compensated) is provided for the ablation bench.
 
+#include <cstddef>
 #include <vector>
 
 #include "util/units.hpp"
@@ -39,8 +40,26 @@ enum class ArcLabelPolicy {
   Conservative,
 };
 
+/// Per-class count of one arc's devices: all an arc label depends on.
+struct DeviceClassTally {
+  std::size_t dense = 0;
+  std::size_t isolated = 0;
+  std::size_t total = 0;
+
+  void add(DeviceClass c) {
+    dense += c == DeviceClass::Dense ? 1 : 0;
+    isolated += c == DeviceClass::Isolated ? 1 : 0;
+    ++total;
+  }
+};
+
 /// Label an arc from its devices' classes.
 ArcClass classify_arc(const std::vector<DeviceClass>& devices,
                       ArcLabelPolicy policy = ArcLabelPolicy::Majority);
+
+/// Label an arc from the tally of its devices' classes (classify_arc
+/// without building a class vector per arc).
+ArcClass classify_tally(const DeviceClassTally& tally,
+                        ArcLabelPolicy policy = ArcLabelPolicy::Majority);
 
 }  // namespace sva

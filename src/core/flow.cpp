@@ -25,39 +25,30 @@ double seconds_since(
 
 }  // namespace
 
-SvaFlow::SvaFlow(const FlowConfig& config)
-    : config_(config),
-      library_(build_standard_library(config.cell_tech)),
-      characterized_(characterize_library(library_, config.electrical)),
-      wafer_(config.wafer_optics, config.cell_tech.gate_length,
+LithoModels::LithoModels(const FlowConfig& config)
+    : wafer_(config.wafer_optics, config.cell_tech.gate_length,
              config.cell_tech.gate_length + config.anchor_spacing),
       model_(config.opc_model_optics, config.cell_tech.gate_length,
              config.cell_tech.gate_length + config.anchor_spacing),
-      engine_(model_, wafer_, config.opc) {
+      engine_(model_, wafer_, config.opc) {}
+
+SvaFlow::SvaFlow(const FlowConfig& config)
+    : config_(config),
+      library_(build_standard_library(config.cell_tech)),
+      characterized_(characterize_library(library_, config.electrical)) {
   config_.budget.validate();
 
   const auto t0 = std::chrono::steady_clock::now();
   if (!config_.cache_dir.empty() && try_load_setup(config_.cache_dir)) {
     setup_from_cache_ = true;
+    setup_opc_seconds_ = seconds_since(t0);
     MetricsRegistry::global().counter("flow.setup_disk_hits").add();
     log_info("flow: characterization setup restored from ",
              setup_cache_file_path(config_.cache_dir));
   } else {
     if (!config_.cache_dir.empty())
       MetricsRegistry::global().counter("flow.setup_disk_misses").add();
-    log_info("flow: library OPC of ", library_.size(), " masters");
-    library_opc_ = library_opc_all(library_.masters(), engine_,
-                                   config_.library_opc,
-                                   config_.fault_policy);
-    setup_degraded_ = std::any_of(
-        library_opc_.begin(), library_opc_.end(),
-        [](const LibraryOpcCellResult& r) { return r.degraded; });
-    if (setup_degraded_)
-      MetricsRegistry::global().counter("flow.setup_degraded").add();
-    log_info("flow: post-OPC pitch characterization (",
-             config_.table_spacings.size(), " spacings)");
-    pitch_points_ = characterize_post_opc_pitch(
-        engine_, config_.cell_tech.gate_length, config_.table_spacings);
+    compute_setup();
     // Never persist a degraded setup: the fallback CDs are a conservative
     // stand-in, not characterization data a later healthy run should
     // warm-start from.
@@ -69,7 +60,6 @@ SvaFlow::SvaFlow(const FlowConfig& config)
       }
     }
   }
-  setup_opc_seconds_ = seconds_since(t0);
 
   boundary_model_ = std::make_unique<TableCdModel>(
       config_.cell_tech.gate_length, post_opc_spacing_table(pitch_points_),
@@ -77,6 +67,26 @@ SvaFlow::SvaFlow(const FlowConfig& config)
   context_ = std::make_unique<ContextLibrary>(
       characterized_, library_opc_, *boundary_model_, config_.bins);
   context_cache_ = std::make_unique<ContextCache>(*context_);
+  MetricsRegistry::global().timer("flow.setup").add_seconds(
+      seconds_since(constructed_at_));
+}
+
+void SvaFlow::compute_setup() {
+  const LithoModels litho(config_);
+  const auto t0 = std::chrono::steady_clock::now();
+  log_info("flow: library OPC of ", library_.size(), " masters");
+  library_opc_ = library_opc_all(library_.masters(), litho.engine(),
+                                 config_.library_opc, config_.fault_policy);
+  setup_degraded_ = std::any_of(
+      library_opc_.begin(), library_opc_.end(),
+      [](const LibraryOpcCellResult& r) { return r.degraded; });
+  if (setup_degraded_)
+    MetricsRegistry::global().counter("flow.setup_degraded").add();
+  log_info("flow: post-OPC pitch characterization (",
+           config_.table_spacings.size(), " spacings)");
+  pitch_points_ = characterize_post_opc_pitch(
+      litho.engine(), config_.cell_tech.gate_length, config_.table_spacings);
+  setup_opc_seconds_ = seconds_since(t0);
 }
 
 std::uint64_t SvaFlow::setup_content_hash() const {

@@ -33,34 +33,33 @@ std::vector<ArcAnnotation> annotate_gate_arcs(
   SVA_REQUIRE(gate < netlist.gates().size());
   const std::size_t ci = netlist.gates()[gate].cell_index;
   const CellMaster& master = netlist.library().master(ci);
+  const std::vector<TimingArc>& arcs = master.arcs();
+  const std::vector<Device>& devices = master.devices();
   const Nm l_nom = master.tech().gate_length;
   const Nm contacted = master.tech().contacted_pitch;
 
-  std::vector<ArcAnnotation> out(master.arcs().size());
-  for (std::size_t ai = 0; ai < master.arcs().size(); ++ai) {
-    ArcAnnotation ann;
+  std::vector<ArcAnnotation> out(arcs.size());
+  for (std::size_t ai = 0; ai < arcs.size(); ++ai) {
+    ArcAnnotation& ann = out[ai];
     ann.l_nom_new = cache != nullptr
                         ? cache->arc_effective_length(ci, version, ai)
                         : context.arc_effective_length(ci, version, ai);
 
-    std::vector<DeviceClass> classes;
-    classes.reserve(master.arcs()[ai].device_indices.size());
-    for (std::size_t di : master.arcs()[ai].device_indices) {
+    DeviceClassTally tally;
+    for (std::size_t di : arcs[ai].device_indices) {
       DeviceContext ctx;
       if (nps != nullptr) {
-        const bool pmos = master.devices()[di].type == DeviceType::Pmos;
+        const bool pmos = devices[di].type == DeviceType::Pmos;
         ctx = context.device_context_measured(
             ci, di, pmos ? nps->lt : nps->lb, pmos ? nps->rt : nps->rb);
       } else {
         ctx = context.device_context(ci, version, di);
       }
-      classes.push_back(classify_device(ctx.s_left + spacing_shift,
-                                        ctx.s_right + spacing_shift,
-                                        contacted));
+      tally.add(classify_device(ctx.s_left + spacing_shift,
+                                ctx.s_right + spacing_shift, contacted));
     }
-    ann.arc_class = classify_arc(classes, policy);
+    ann.arc_class = classify_tally(tally, policy);
     ann.corners = sva_corners(l_nom, ann.l_nom_new, ann.arc_class, budget);
-    out[ai] = ann;
   }
   return out;
 }

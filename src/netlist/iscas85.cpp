@@ -47,6 +47,7 @@ Netlist generate_iscas85_like(const BenchmarkSpec& spec,
 
   Rng rng(spec.name);  // deterministic per-benchmark stream
   Netlist netlist(library, spec.name);
+  netlist.reserve(spec.primary_inputs + spec.gate_count, spec.gate_count);
 
   // --- Level plan: depth grows slowly with size (ISCAS85 depths are
   // roughly 17..47 for 160..3500 gates); gate counts per level follow a
@@ -102,17 +103,20 @@ Netlist generate_iscas85_like(const BenchmarkSpec& spec,
   level_nets[0] = pi_nets;
 
   // Track nets not yet used as a fanin so we can prefer them and keep the
-  // number of dangling outputs near zero.
-  std::vector<std::size_t> fanout_count(netlist.nets().size(), 0);
+  // number of dangling outputs near zero.  Sized for every net up front:
+  // each gate adds exactly one.
+  std::vector<std::size_t> fanout_count(
+      spec.primary_inputs + spec.gate_count, 0);
 
   std::size_t gate_id = 0;
+  std::vector<std::size_t> fanins;
   for (std::size_t l = 1; l <= depth; ++l) {
     const std::size_t count = per_level[l - 1];
+    level_nets[l].reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t cell = rng.weighted_index(kCellMix);
-      const std::size_t n_inputs = netlist.input_pins_of(cell).size();
-      std::vector<std::size_t> fanins;
-      fanins.reserve(n_inputs);
+      const std::size_t n_inputs = netlist.input_pin_count(cell);
+      fanins.clear();
       for (std::size_t f = 0; f < n_inputs; ++f) {
         // Pick the source level: previous level with p=0.6, then decay.
         std::size_t src_level = l - 1;
@@ -141,7 +145,6 @@ Netlist generate_iscas85_like(const BenchmarkSpec& spec,
       }
       const std::size_t out = netlist.add_gate(
           "g" + std::to_string(gate_id++), cell, fanins);
-      fanout_count.resize(netlist.nets().size(), 0);
       level_nets[l].push_back(out);
     }
   }

@@ -7,7 +7,18 @@
 namespace sva {
 
 Netlist::Netlist(const CellLibrary& library, std::string name)
-    : library_(&library), name_(std::move(name)) {}
+    : library_(&library), name_(std::move(name)) {
+  input_pin_counts_.reserve(library.size());
+  for (const CellMaster& master : library.masters())
+    input_pin_counts_.push_back(static_cast<std::size_t>(
+        std::count_if(master.pins().begin(), master.pins().end(),
+                      [](const Pin& p) { return !p.is_output; })));
+}
+
+void Netlist::reserve(std::size_t nets, std::size_t gates) {
+  nets_.reserve(nets);
+  gates_.reserve(gates);
+}
 
 std::size_t Netlist::add_primary_input(const std::string& name) {
   SVA_REQUIRE_MSG(topo_cache_.empty(),
@@ -31,8 +42,7 @@ std::size_t Netlist::add_gate(const std::string& name, std::size_t cell_index,
   SVA_REQUIRE_MSG(topo_cache_.empty(),
                   "netlist is frozen after topological_order()");
   SVA_REQUIRE(cell_index < library_->size());
-  const auto input_pins = input_pins_of(cell_index);
-  SVA_REQUIRE_MSG(fanins.size() == input_pins.size(),
+  SVA_REQUIRE_MSG(fanins.size() == input_pin_counts_[cell_index],
                   "fanin count must equal the master's input pin count");
   for (std::size_t n : fanins) SVA_REQUIRE(n < nets_.size());
 
@@ -124,7 +134,7 @@ void Netlist::validate() const {
   for (const GateInst& g : gates_) {
     SVA_REQUIRE(g.cell_index < library_->size());
     SVA_REQUIRE(g.output_net < nets_.size());
-    SVA_REQUIRE(input_pins_of(g.cell_index).size() == g.fanin_nets.size());
+    SVA_REQUIRE(input_pin_counts_[g.cell_index] == g.fanin_nets.size());
     for (std::size_t n : g.fanin_nets) SVA_REQUIRE(n < nets_.size());
   }
   for (std::size_t ni = 0; ni < nets_.size(); ++ni) {

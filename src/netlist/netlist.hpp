@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cell/library.hpp"
+#include "util/error.hpp"
 
 namespace sva {
 
@@ -72,6 +73,16 @@ class Netlist {
   /// Input-pin names of a gate's master, in fanin order.
   std::vector<std::string> input_pins_of(std::size_t cell_index) const;
 
+  /// Input-pin count of a library master (the fanin count of its gates),
+  /// cached at construction.
+  std::size_t input_pin_count(std::size_t cell_index) const {
+    SVA_REQUIRE(cell_index < input_pin_counts_.size());
+    return input_pin_counts_[cell_index];
+  }
+
+  /// Reserve room for `nets` nets and `gates` gates before a bulk build.
+  void reserve(std::size_t nets, std::size_t gates);
+
   /// Gates in topological order (fanins before the gate).  Cached after
   /// first call; the netlist must not be modified afterwards.
   const std::vector<std::size_t>& topological_order() const;
@@ -86,6 +97,7 @@ class Netlist {
 
  private:
   const CellLibrary* library_;
+  std::vector<std::size_t> input_pin_counts_;  ///< per library master
   std::string name_;
   std::vector<Net> nets_;
   std::vector<GateInst> gates_;

@@ -7,21 +7,6 @@
 namespace sva {
 namespace {
 
-/// Poly features of `master` (gate stripes + stubs) that vertically
-/// overlap the strip [y_lo, y_hi], as x intervals in cell coordinates.
-std::vector<std::pair<Nm, Nm>> poly_intervals_in_strip(
-    const CellMaster& master, Nm y_lo, Nm y_hi) {
-  std::vector<std::pair<Nm, Nm>> out;
-  const Rect strip = Rect::make(-1e9, y_lo, 1e9, y_hi);
-  for (std::size_t gi = 0; gi < master.gates().size(); ++gi) {
-    const Rect r = master.gate_rect(gi);
-    if (r.y_overlaps(strip)) out.emplace_back(r.x_lo, r.x_hi);
-  }
-  for (const Rect& s : master.poly_stubs())
-    if (s.y_overlaps(strip)) out.emplace_back(s.x_lo, s.x_hi);
-  return out;
-}
-
 /// A single hypothetical x-position override (SIZE_MAX => no override).
 struct XOverride {
   std::size_t gate = static_cast<std::size_t>(-1);
@@ -32,28 +17,13 @@ Nm x_of(const Placement& placement, std::size_t gi, const XOverride& ov) {
   return gi == ov.gate ? ov.x : placement.instances()[gi].x;
 }
 
-/// Measure one side/strip spacing for instance `gi`.
-Nm measure_side(const Placement& placement, std::size_t gi, bool left,
-                Nm strip_y_lo, Nm strip_y_hi, Nm roi,
-                const XOverride& ov = {}) {
-  const Netlist& netlist = placement.netlist();
-  const CellLibrary& lib = netlist.library();
-  const CellMaster& master = lib.master(netlist.gates()[gi].cell_index);
-
-  const std::size_t boundary_gate =
-      left ? master.leftmost_gate() : master.rightmost_gate();
-  const PolyGate& g = master.gates()[boundary_gate];
-  const Nm own_edge = x_of(placement, gi, ov) + (left ? g.x_lo() : g.x_hi());
-
-  const std::size_t n =
-      left ? placement.left_neighbor(gi) : placement.right_neighbor(gi);
-  if (n == static_cast<std::size_t>(-1)) return roi;
-
-  const CellMaster& n_master = lib.master(netlist.gates()[n].cell_index);
-  const Nm n_x = x_of(placement, n, ov);
+/// Clear distance from `own_edge` to the nearest facing poly edge of a
+/// neighbour placed at `n_x` (its right edges when it sits on the left),
+/// clamped to `roi`.
+Nm facing_spacing(const std::vector<std::pair<Nm, Nm>>& n_poly, Nm n_x,
+                  Nm own_edge, bool left, Nm roi) {
   Nm best = roi;
-  for (const auto& [x_lo, x_hi] :
-       poly_intervals_in_strip(n_master, strip_y_lo, strip_y_hi)) {
+  for (const auto& [x_lo, x_hi] : n_poly) {
     if (left) {
       const Nm edge = n_x + x_hi;
       if (edge <= own_edge) best = std::min(best, own_edge - edge);
@@ -65,19 +35,32 @@ Nm measure_side(const Placement& placement, std::size_t gi, bool left,
   return best;
 }
 
-/// All four spacings of one instance under an optional x override.
+/// All four spacings of one instance under an optional x override; a side
+/// without a row neighbour measures as isolated (`roi`).  The one nps
+/// measurement behind extract_nps and nps_after_shift.
 InstanceNps measure_instance(const Placement& placement, std::size_t gi,
-                             const CellTech& tech, Nm roi,
-                             const XOverride& ov = {}) {
-  InstanceNps nps;
-  nps.lt = measure_side(placement, gi, /*left=*/true, tech.pmos_y_lo,
-                        tech.pmos_y_hi, roi, ov);
-  nps.rt = measure_side(placement, gi, /*left=*/false, tech.pmos_y_lo,
-                        tech.pmos_y_hi, roi, ov);
-  nps.lb = measure_side(placement, gi, /*left=*/true, tech.nmos_y_lo,
-                        tech.nmos_y_hi, roi, ov);
-  nps.rb = measure_side(placement, gi, /*left=*/false, tech.nmos_y_lo,
-                        tech.nmos_y_hi, roi, ov);
+                             Nm roi, const XOverride& ov = {}) {
+  const std::vector<GateInst>& gates = placement.netlist().gates();
+  const MasterPolyProfile& own = placement.poly_profile(gates[gi].cell_index);
+  const Nm x = x_of(placement, gi, ov);
+  InstanceNps nps{roi, roi, roi, roi};
+
+  const std::size_t l = placement.left_neighbor(gi);
+  if (l != static_cast<std::size_t>(-1)) {
+    const MasterPolyProfile& n = placement.poly_profile(gates[l].cell_index);
+    const Nm n_x = x_of(placement, l, ov);
+    const Nm edge = x + own.left_edge;
+    nps.lt = facing_spacing(n.pmos, n_x, edge, /*left=*/true, roi);
+    nps.lb = facing_spacing(n.nmos, n_x, edge, /*left=*/true, roi);
+  }
+  const std::size_t r = placement.right_neighbor(gi);
+  if (r != static_cast<std::size_t>(-1)) {
+    const MasterPolyProfile& n = placement.poly_profile(gates[r].cell_index);
+    const Nm n_x = x_of(placement, r, ov);
+    const Nm edge = x + own.right_edge;
+    nps.rt = facing_spacing(n.pmos, n_x, edge, /*left=*/false, roi);
+    nps.rb = facing_spacing(n.nmos, n_x, edge, /*left=*/false, roi);
+  }
   return nps;
 }
 
@@ -85,13 +68,11 @@ InstanceNps measure_instance(const Placement& placement, std::size_t gi,
 
 std::vector<InstanceNps> extract_nps(const Placement& placement) {
   const Netlist& netlist = placement.netlist();
-  const CellLibrary& lib = netlist.library();
-  const CellTech& tech = lib.master(0).tech();
-  const Nm roi = tech.radius_of_influence;
+  const Nm roi = netlist.library().master(0).tech().radius_of_influence;
 
   std::vector<InstanceNps> out(netlist.gates().size());
   for (std::size_t gi = 0; gi < netlist.gates().size(); ++gi)
-    out[gi] = measure_instance(placement, gi, tech, roi);
+    out[gi] = measure_instance(placement, gi, roi);
   return out;
 }
 
@@ -102,8 +83,7 @@ std::vector<NpsUpdate> nps_after_shift(const Placement& placement,
   const auto [lo, hi] = placement.shift_range(gate);
   SVA_REQUIRE_MSG(dx >= lo - 1e-9 && dx <= hi + 1e-9,
                   "shift outside the legal range");
-  const CellTech& tech = netlist.library().master(0).tech();
-  const Nm roi = tech.radius_of_influence;
+  const Nm roi = netlist.library().master(0).tech().radius_of_influence;
   const XOverride ov{gate, placement.instances()[gate].x + dx};
 
   std::vector<std::size_t> affected;
@@ -117,7 +97,7 @@ std::vector<NpsUpdate> nps_after_shift(const Placement& placement,
   std::vector<NpsUpdate> out;
   out.reserve(affected.size());
   for (std::size_t gi : affected)
-    out.push_back({gi, measure_instance(placement, gi, tech, roi, ov)});
+    out.push_back({gi, measure_instance(placement, gi, roi, ov)});
   return out;
 }
 

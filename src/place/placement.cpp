@@ -7,6 +7,34 @@
 #include "util/rng.hpp"
 
 namespace sva {
+namespace {
+
+/// x-intervals of the master's poly features that vertically overlap the
+/// strip [y_lo, y_hi].
+std::vector<std::pair<Nm, Nm>> poly_in_strip(const CellMaster& master,
+                                             Nm y_lo, Nm y_hi) {
+  std::vector<std::pair<Nm, Nm>> out;
+  const Rect strip = Rect::make(-1e9, y_lo, 1e9, y_hi);
+  for (std::size_t gi = 0; gi < master.gates().size(); ++gi) {
+    const Rect r = master.gate_rect(gi);
+    if (r.y_overlaps(strip)) out.emplace_back(r.x_lo, r.x_hi);
+  }
+  for (const Rect& s : master.poly_stubs())
+    if (s.y_overlaps(strip)) out.emplace_back(s.x_lo, s.x_hi);
+  return out;
+}
+
+MasterPolyProfile poly_profile_of(const CellMaster& master,
+                                  const CellTech& tech) {
+  MasterPolyProfile p;
+  p.left_edge = master.gates()[master.leftmost_gate()].x_lo();
+  p.right_edge = master.gates()[master.rightmost_gate()].x_hi();
+  p.pmos = poly_in_strip(master, tech.pmos_y_lo, tech.pmos_y_hi);
+  p.nmos = poly_in_strip(master, tech.nmos_y_lo, tech.nmos_y_hi);
+  return p;
+}
+
+}  // namespace
 
 Placement::Placement(const Netlist& netlist, const PlacementConfig& config)
     : netlist_(&netlist) {
@@ -18,6 +46,10 @@ Placement::Placement(const Netlist& netlist, const PlacementConfig& config)
   const CellLibrary& lib = netlist.library();
   const CellTech& tech = lib.master(0).tech();
   Rng rng(config.seed);
+
+  poly_profiles_.reserve(lib.size());
+  for (const CellMaster& master : lib.masters())
+    poly_profiles_.push_back(poly_profile_of(master, tech));
 
   // Total cell width and square-ish die dimensioning.
   Nm total_width = 0.0;

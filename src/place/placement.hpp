@@ -10,6 +10,7 @@
 // run yields.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geom/layout.hpp"
@@ -21,6 +22,16 @@ struct PlacementConfig {
   double utilization = 0.70;   ///< total cell width / total row width
   double abut_probability = 0.45;  ///< chance two neighbours abut (gap 0)
   std::uint64_t seed = 1;      ///< whitespace-distribution seed
+};
+
+/// One master's poly as nps measurement sees it, in cell coordinates: the
+/// outer edges of its boundary gate stripes, and the x-intervals of every
+/// poly feature (gate stripes and stubs) that crosses each diffusion strip.
+struct MasterPolyProfile {
+  Nm left_edge = 0.0;   ///< x_lo of the left-most gate stripe
+  Nm right_edge = 0.0;  ///< x_hi of the right-most gate stripe
+  std::vector<std::pair<Nm, Nm>> pmos;  ///< poly crossing the PMOS strip
+  std::vector<std::pair<Nm, Nm>> nmos;  ///< poly crossing the NMOS strip
 };
 
 struct PlacedInstance {
@@ -44,6 +55,13 @@ class Placement {
   const std::vector<std::vector<std::size_t>>& rows() const { return rows_; }
 
   Nm row_width() const { return row_width_; }
+
+  /// Poly profile of a library master, computed once per placement so
+  /// that nps measurement (initial extraction and ECO re-measurement
+  /// alike) never re-derives master geometry.
+  const MasterPolyProfile& poly_profile(std::size_t cell_index) const {
+    return poly_profiles_[cell_index];
+  }
 
   /// Left / right neighbour gate of an instance within its row, or
   /// SIZE_MAX if it is first/last.
@@ -82,6 +100,7 @@ class Placement {
   std::vector<PlacedInstance> instances_;
   std::vector<std::vector<std::size_t>> rows_;
   std::vector<std::size_t> position_in_row_;  // per gate
+  std::vector<MasterPolyProfile> poly_profiles_;  // per library master
   Nm row_width_ = 0.0;
 };
 

@@ -118,7 +118,6 @@ SstaEngine::SstaEngine(const Netlist& netlist,
                        const SstaVariationModel& model,
                        const StaConfig& config, const ContextCache* cache)
     : netlist_(&netlist),
-      library_(&library),
       config_(config),
       factors_(build_factors(netlist, context, versions, model, cache)),
       sta_(netlist, library, config),
@@ -172,9 +171,9 @@ const CanonicalDelay& SstaEngine::arc_factor(std::size_t gate,
 void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
   const Netlist& nl = *netlist_;
   const GateInst& gate = nl.gates()[gi];
-  const CharacterizedCell& cell = library_->cells[gate.cell_index];
+  const std::vector<const CharacterizedArc*>& arcs =
+      sta_.cell_arcs(gate.cell_index);
   const double load = sta_.net_load_ff(gate.output_net);
-  const auto pins = nl.input_pins_of(gate.cell_index);
   const std::size_t n = gate.fanin_nets.size();
 
   // The gate's support: its arc slots, its max-noise slot and every
@@ -185,7 +184,7 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
   slots.reserve(n + 1);
   for (std::size_t pi = 0; pi < n; ++pi)
     slots.push_back(static_cast<std::uint32_t>(
-        res_offset_[gi] + cell.arc_for(pins[pi]).arc_index));
+        res_offset_[gi] + arcs[pi]->arc_index));
   slots.push_back(static_cast<std::uint32_t>(arc_total_ + gi));
   std::sort(slots.begin(), slots.end());
   slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
@@ -204,7 +203,7 @@ void SstaEngine::evaluate_gate(std::size_t gi, State& st) const {
 
   for (std::size_t pi = 0; pi < n; ++pi) {
     const std::size_t in_net = gate.fanin_nets[pi];
-    const CharacterizedArc& arc = cell.arc_for(pins[pi]);
+    const CharacterizedArc& arc = *arcs[pi];
     const CanonicalDelay& fac = factors_[gi][arc.arc_index];
     const CanonicalDelay& ain = st.arrival[in_net];
     const SlewSensitivity& sin = st.slew_sens[in_net];

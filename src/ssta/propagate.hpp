@@ -145,7 +145,6 @@ class SstaEngine {
   SstaResult finalize(State state) const;
 
   const Netlist* netlist_;
-  const CharacterizedLibrary* library_;
   StaConfig config_;
   /// Dimensionless canonical factor per (gate, master-arc), mirroring the
   /// MatrixScale layout.

@@ -154,6 +154,12 @@ class Sta {
   /// Capacitive load seen by a net's driver (fF).
   double net_load_ff(std::size_t net) const;
 
+  /// A library cell's characterized arcs in input-pin (fanin) order.
+  const std::vector<const CharacterizedArc*>& cell_arcs(
+      std::size_t cell_index) const {
+    return cell_arcs_[cell_index];
+  }
+
   const StaConfig& config() const { return config_; }
 
   /// The compiled flat program (compile stats for benches/reports).

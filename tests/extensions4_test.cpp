@@ -17,13 +17,17 @@ const SvaFlow& flow() {
   return f;
 }
 
+/// The flow's litho models; a flow keeps none once its setup is done.
+const LithoModels& litho() {
+  static const LithoModels m{flow().config()};
+  return m;
+}
+
 // ----------------------------------------------------- Budget calibration
 
 TEST(BudgetCalibration, MeasuresPositiveHalfRanges) {
-  const PrintModel model(flow().wafer_process(), FocusResponseParams{},
-                         600.0);
-  const MeasuredBudget m =
-      measure_budget(flow().opc_engine(), model, 90.0);
+  const PrintModel model(litho().wafer(), FocusResponseParams{}, 600.0);
+  const MeasuredBudget m = measure_budget(litho().engine(), model, 90.0);
   EXPECT_GT(m.lvar_pitch, 0.5);
   EXPECT_LT(m.lvar_pitch, 9.0);
   EXPECT_GT(m.lvar_focus, 0.5);
@@ -50,10 +54,8 @@ TEST(BudgetCalibration, OverfullMeasurementIsScaledDown) {
 }
 
 TEST(BudgetCalibration, MeasuredBudgetDrivesFlow) {
-  const PrintModel model(flow().wafer_process(), FocusResponseParams{},
-                         600.0);
-  const MeasuredBudget m =
-      measure_budget(flow().opc_engine(), model, 90.0);
+  const PrintModel model(litho().wafer(), FocusResponseParams{}, 600.0);
+  const MeasuredBudget m = measure_budget(litho().engine(), model, 90.0);
   FlowConfig config;
   config.budget = m.to_budget(90.0);
   const SvaFlow measured_flow{config};

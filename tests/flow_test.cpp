@@ -9,6 +9,7 @@
 
 #include "core/flow.hpp"
 #include "opc/pitch_table.hpp"
+#include "util/serialize.hpp"
 
 namespace sva {
 namespace {
@@ -26,6 +27,21 @@ TEST(Flow, SetupArtifactsPresent) {
   EXPECT_EQ(flow().pitch_points().size(),
             flow().config().table_spacings.size());
   EXPECT_GT(flow().setup_opc_seconds(), 0.0);
+}
+
+TEST(Flow, LithoModelsFromConfigReproduceSetup) {
+  // The flow drops its litho models after a cold setup; models rebuilt
+  // from its config (as the full-chip OPC benches do) must be the same
+  // models, so they reproduce the setup's pitch table bit for bit.
+  const LithoModels litho(flow().config());
+  const std::vector<PostOpcPitchPoint> points = characterize_post_opc_pitch(
+      litho.engine(), flow().config().cell_tech.gate_length,
+      flow().config().table_spacings);
+  ASSERT_EQ(points.size(), flow().pitch_points().size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].printed_cd, flow().pitch_points()[i].printed_cd);
+    EXPECT_EQ(points[i].mask_bias, flow().pitch_points()[i].mask_bias);
+  }
 }
 
 TEST(Flow, PitchTableShowsResidualBias) {
@@ -133,6 +149,67 @@ TEST_P(BenchmarkSweep, SpreadReductionInBand) {
 
 INSTANTIATE_TEST_SUITE_P(Table2, BenchmarkSweep,
                          ::testing::Values("C432", "C880", "C1355"));
+
+// ------------------------------------------- front-half products
+
+/// FNV-1a digest of everything the flow's front half produces for one
+/// circuit: the mapped netlist, the placement, the measured nps, the bound
+/// versions, the arc annotations and the three SVA corner-factor matrices.
+std::uint64_t front_half_digest(const std::string& name) {
+  const FlowConfig& fc = flow().config();
+  const Netlist nl = flow().make_benchmark(name);
+  const Placement placement = flow().make_placement(nl);
+  const std::vector<InstanceNps> nps = extract_nps(placement);
+  const std::vector<VersionKey> versions = assign_versions(nps, fc.bins);
+  const auto annotations =
+      annotate_arcs(nl, flow().context_library(), versions, fc.budget,
+                    fc.arc_policy, 0.0, &nps, &flow().context_cache());
+
+  Fnv1aHasher h;
+  h.str(nl.name());
+  for (const Net& net : nl.nets())
+    h.str(net.name).u64(net.is_primary_output ? 1 : 0);
+  for (const GateInst& g : nl.gates()) {
+    h.str(g.name).u64(g.cell_index).u64(g.output_net);
+    for (std::size_t n : g.fanin_nets) h.u64(n);
+  }
+  for (const PlacedInstance& inst : placement.instances()) h.f64(inst.x);
+  for (const InstanceNps& n : nps) h.f64(n.lt).f64(n.rt).f64(n.lb).f64(n.rb);
+  for (const VersionKey& v : versions)
+    h.u64(version_index(v, fc.bins.count()));
+  for (const auto& gate : annotations)
+    for (const ArcAnnotation& a : gate)
+      h.f64(a.l_nom_new)
+          .u64(static_cast<std::uint64_t>(a.arc_class))
+          .f64(a.corners.bc)
+          .f64(a.corners.nom)
+          .f64(a.corners.wc);
+  for (Corner c : {Corner::Nominal, Corner::Best, Corner::Worst})
+    for (const std::vector<double>& row :
+         corner_factors(nl, annotations, fc.budget, c))
+      h.vec_f64(row);
+  return h.digest();
+}
+
+TEST(FlowFrontHalf, DigestsPinnedOnAllIscas85) {
+  // A change in any of these products must be deliberate: speed work on
+  // the front half keeps every digest.
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"C432", 0x78c5ddd809c7aacaull},
+      {"C499", 0x605b384df6cca158ull},
+      {"C880", 0x754adefca0ae8148ull},
+      {"C1355", 0x384908042e57e627ull},
+      {"C1908", 0x8b983ffe2f75f225ull},
+      {"C2670", 0xc47e4764f242ec1aull},
+      {"C3540", 0x1dda9ba371dc650eull},
+      {"C5315", 0xd93160e8902415a1ull},
+      {"C6288", 0xbaa9cb50d2939c89ull},
+      {"C7552", 0x8f563243e79a9c24ull},
+  };
+  for (const auto& [name, digest] : expected)
+    EXPECT_EQ(front_half_digest(name), digest)
+        << name << " 0x" << std::hex << front_half_digest(name);
+}
 
 // ------------------------------------------- persistent warm start
 

@@ -79,6 +79,14 @@ TEST(Netlist, InputPinsOf) {
             (std::vector<std::string>{"A"}));
 }
 
+TEST(Netlist, InputPinCountMatchesPinNames) {
+  const Netlist nl(lib(), "t");
+  for (std::size_t ci = 0; ci < lib().size(); ++ci)
+    EXPECT_EQ(nl.input_pin_count(ci), nl.input_pins_of(ci).size())
+        << lib().master(ci).name();
+  EXPECT_THROW(nl.input_pin_count(lib().size()), PreconditionError);
+}
+
 TEST(Netlist, FrozenAfterTopo) {
   Netlist nl = tiny_netlist();
   (void)nl.topological_order();
