@@ -1,6 +1,7 @@
 // Compiled flat-STA kernel benchmark: the data-oriented program of
-// sta/compiled.hpp vs the scalar netlist interpreter (Sta::run_scalar),
-// plus the priority-queue incremental what-if path vs a full recompute.
+// sta/compiled.hpp vs the scalar netlist interpreter (ScalarSta, the
+// test-only oracle in tests/sta_scalar_oracle.*), plus the level-bucket
+// incremental what-if path vs a full recompute.
 //
 // Every compiled wall is only reported after asserting bit-identity with
 // the scalar result on the same scale -- a speedup that changed an answer
@@ -23,6 +24,7 @@
 #include "sta/compiled.hpp"
 #include "sta/scale.hpp"
 #include "sta/sta.hpp"
+#include "sta_scalar_oracle.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -72,7 +74,7 @@ struct CircuitRow {
   double compiled_ms = 0.0;
   double speedup = 0.0;
   double incr_full_ms = 0.0;   ///< full recompute per what-if
-  double incr_pq_ms = 0.0;     ///< pq dirty propagation per what-if
+  double incr_pq_ms = 0.0;     ///< dirty-cone propagation per what-if
   double incr_speedup = 0.0;
   double cone_fraction = 0.0;  ///< gates touched / total, mean
 };
@@ -101,14 +103,15 @@ CircuitRow bench_circuit(const std::string& name, const CellLibrary& lib,
   row.gates = nl.gates().size();
   row.arcs = sta.compiled().arc_count();
 
-  require_bit_identical(sta.run(scale), sta.run_scalar(scale), name);
+  const ScalarSta scalar(sta, nl);
+  require_bit_identical(sta.run(scale), scalar.run(scale), name);
   row.scalar_ms =
-      best_wall_ms(repeats, passes, [&] { (void)sta.run_scalar(scale); });
+      best_wall_ms(repeats, passes, [&] { (void)scalar.run(scale); });
   row.compiled_ms =
       best_wall_ms(repeats, passes, [&] { (void)sta.run(scale); });
   row.speedup = row.scalar_ms / row.compiled_ms;
 
-  // Incremental what-if: repeated 3-gate scale edits, pq dirty cone vs
+  // Incremental what-if: repeated 3-gate scale edits, dirty cone vs
   // full recompute (what the ECO candidate loop pays per candidate).
   Rng rng("incr-" + name);
   std::vector<std::vector<double>> factors(nl.gates().size());
@@ -175,7 +178,8 @@ int main(int argc, char** argv) {
     const Netlist nl = generate_iscas85_like("C432", lib);
     const Sta sta(nl, charlib);
     const MatrixScale scale = random_scale(nl, lib, "smoke");
-    require_bit_identical(sta.run(scale), sta.run_scalar(scale), "smoke");
+    require_bit_identical(sta.run(scale), ScalarSta(sta, nl).run(scale),
+                          "smoke");
     const StaResult incr =
         sta.run_incremental(scale, sta.run(scale), {0, 1, 2});
     require_bit_identical(sta.run(scale), incr, "smoke incremental");

@@ -582,20 +582,25 @@ if [[ "$FAST" == "1" ]]; then
   exit 0
 fi
 
-echo "== TSan: engine_test + sta_test + server_test + ssta_test under -fsanitize=thread =="
+echo "== TSan: engine_test + sta_test + server_test + ssta_test + opt_test under -fsanitize=thread =="
 # sta_test drives the compiled kernel through run_parallel at several
 # thread counts, extending race coverage to the flat-arena evaluate path;
 # server_test covers the daemon's lane pool, watchdog, and the JobQueue
 # close/drain races under concurrent pushers; the ssta_test parallel and
 # dense-oracle suites cover SSTA's split levels and the serial
-# between-level release of coefficient lists.
+# between-level release of coefficient lists; the opt_test WhatIf/Eco
+# suites cover ECO pricing, whose parallel_for chunks each patch and roll
+# back their own mirror of the committed timing.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j --target engine_test sta_test server_test ssta_test
+cmake --build build-tsan -j --target engine_test sta_test server_test ssta_test \
+  opt_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ssta_test \
   --gtest_filter='SstaParallel.*:*SstaDense.*'
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/opt_test \
+  --gtest_filter='*WhatIf*:Eco.*'
 
 echo "== ASan: full tier-1 suite + kernel bench smoke under -fsanitize=address =="
 cmake -B build-asan -S . -DSVA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -1,7 +1,9 @@
 #include "opt/eco.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "core/scales.hpp"
@@ -12,6 +14,14 @@
 #include "util/strings.hpp"
 
 namespace sva {
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
 
 const char* eco_corner_mode_name(EcoCornerMode mode) {
   switch (mode) {
@@ -116,27 +126,34 @@ std::vector<Move> EcoOptimizer::enumerate_candidates(
   return out;
 }
 
-void EcoOptimizer::evaluate(const Move& move, Evaluation& out) const {
+template <typename Fn>
+decltype(auto) EcoOptimizer::with_edit(const Evaluation& e, Fn&& fn) const {
+  if (e.move.kind == MoveKind::Respace)
+    return fn(OverlayScale(factors_, e.factor_rows),
+              std::span<const Sta::GateCellOverride>{},
+              std::span<const std::size_t>(e.changed));
+  // Sizing is printing-context-neutral (see opt/sizing.hpp): the
+  // committed corner factors apply unchanged; only the master (and the
+  // pin caps it presents upstream) is hypothetically swapped.
+  const Sta::GateCellOverride swap{e.move.gate, e.move.to_cell};
+  return fn(FactorsScale(factors_),
+            std::span<const Sta::GateCellOverride>(&swap, 1),
+            std::span<const std::size_t>{});
+}
+
+void EcoOptimizer::evaluate(const Move& move, Evaluation& out,
+                            PricingScratch& scratch) const {
   out.move = move;
   switch (move.kind) {
     case MoveKind::Upsize:
-    case MoveKind::Downsize: {
-      // Sizing is printing-context-neutral (see opt/sizing.hpp): the
-      // committed corner factors apply unchanged; only the master (and
-      // the pin caps it presents upstream) is hypothetically swapped.
-      const std::vector<Sta::GateCellOverride> swap{
-          {move.gate, move.to_cell}};
-      const FactorsScale scale(factors_);
-      out.timing = sta_.run_what_if(scale, current_, swap, {});
+    case MoveKind::Downsize:
       out.area_delta =
           sized_->multiplier_of(move.to_cell) -
           sized_->multiplier_of(netlist_.gates()[move.gate].cell_index);
       break;
-    }
     case MoveKind::Respace: {
       out.nps_updates = nps_after_shift(placement_, move.gate, move.dx);
       const ContextBins& bins = sized_->context_library().bins();
-      std::vector<std::size_t> changed;
       out.factor_rows.reserve(out.nps_updates.size());
       for (const NpsUpdate& u : out.nps_updates) {
         const VersionKey version = nps_to_version(u.nps, bins);
@@ -146,15 +163,18 @@ void EcoOptimizer::evaluate(const Move& move, Evaluation& out) const {
             &sized_->context_cache());
         auto row = gate_corner_factors(netlist_, u.gate, annotations,
                                        config_.budget, Corner::Worst);
-        if (row != factors_[u.gate]) changed.push_back(u.gate);
+        if (row != factors_[u.gate]) out.changed.push_back(u.gate);
         out.factor_rows.emplace_back(u.gate, std::move(row));
       }
-      const OverlayScale scale(factors_, out.factor_rows);
-      out.timing = sta_.run_what_if(scale, current_, {}, changed);
       break;
     }
   }
-  out.gain_ps = current_.critical_delay_ps - out.timing.critical_delay_ps;
+  const double delay = with_edit(
+      out, [&](const ArcScaleProvider& scale, auto overrides, auto changed) {
+        return sta_.price_what_if(scale, overrides, changed, scratch.mirror,
+                                  scratch.work);
+      });
+  out.gain_ps = current_.critical_delay_ps - delay;
 }
 
 bool EcoOptimizer::better(const Evaluation& a, const Evaluation& b) {
@@ -170,6 +190,16 @@ bool EcoOptimizer::better(const Evaluation& a, const Evaluation& b) {
 }
 
 void EcoOptimizer::commit(Evaluation&& best) {
+  // Propagate the winner alone into the committed timing, before the
+  // design changes underneath it: the same routine on the same inputs
+  // the pricing mirror saw, so the realized gain is the priced one.
+  const double before = current_.critical_delay_ps;
+  with_edit(best, [&](const ArcScaleProvider& scale, auto overrides,
+                      auto changed) {
+    sta_.apply_what_if(scale, overrides, changed, current_, commit_work_);
+  });
+  SVA_ASSERT_MSG(same_bits(before - current_.critical_delay_ps, best.gain_ps),
+                 "committed gain differs from the priced gain");
   switch (best.move.kind) {
     case MoveKind::Upsize:
     case MoveKind::Downsize:
@@ -188,8 +218,6 @@ void EcoOptimizer::commit(Evaluation&& best) {
       break;
     }
   }
-  // The what-if result is exact, so it becomes the committed timing.
-  current_ = std::move(best.timing);
 }
 
 void EcoOptimizer::apply_move(Evaluation&& chosen) {
@@ -254,22 +282,29 @@ EcoResult EcoOptimizer::run(ThreadPool* pool, const CancelToken* cancel) {
     if (candidates.empty()) break;
 
     // Price every candidate into its own slot; with a pool the pricing
-    // fans out, and the serial argmax below keeps selection (and thus
-    // the whole trajectory) schedule-independent.
-    std::vector<Evaluation> evals(candidates.size());
+    // fans out over chunks, and the serial argmax below keeps selection
+    // (and thus the whole trajectory) schedule-independent.  Each chunk
+    // prices on its own scratch, synced with one copy of current_.
+    const std::size_t n = candidates.size();
+    const std::size_t chunks =
+        pool != nullptr ? std::min(n, 4 * (pool->thread_count() + 1)) : 1;
+    if (scratch_.size() < chunks) scratch_.resize(chunks);
+    std::vector<Evaluation> evals(n);
     try {
       const ScopedTimer timer(eval_timer);
-      const auto price = [&](std::size_t i) {
-        evaluate(candidates[i], evals[i]);
-      };
-      if (pool != nullptr) {
-        pool->parallel_for(0, candidates.size(), price, 0, cancel);
-      } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (cancel != nullptr) cancel->check();
-          price(i);
+      const auto price_chunk = [&](std::size_t c) {
+        PricingScratch& scratch = scratch_[c];
+        scratch.mirror = current_;
+        for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
+          // Serial runs poll per candidate; parallel_for polls per chunk.
+          if (pool == nullptr && cancel != nullptr) cancel->check();
+          evaluate(candidates[i], evals[i], scratch);
         }
-      }
+      };
+      if (pool != nullptr)
+        pool->parallel_for(0, chunks, price_chunk, 1, cancel);
+      else
+        price_chunk(0);
     } catch (const CancelledError&) {
       // Mid-pricing trip: the partial evals are discarded, nothing was
       // committed this iteration.
@@ -296,10 +331,6 @@ EcoResult EcoOptimizer::run(ThreadPool* pool, const CancelToken* cancel) {
 namespace {
 
 constexpr char kEcoCheckpointKind[] = "eco";
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
 
 }  // namespace
 
@@ -371,6 +402,7 @@ void EcoOptimizer::restore(const std::string& path) {
   if (nmoves > config_.max_moves)
     throw SerializeError("eco checkpoint has more moves than max_moves");
 
+  PricingScratch scratch;
   for (std::uint64_t i = 0; i < nmoves; ++i) {
     Move m;
     const std::uint8_t kind = r.u8();
@@ -388,8 +420,9 @@ void EcoOptimizer::restore(const std::string& path) {
     // is exact, so the re-derived gain must match the journaled one
     // bit-for-bit -- any drift means the inputs are not the ones the
     // checkpoint was written for (or the journal is corrupt).
+    scratch.mirror = current_;
     Evaluation eval;
-    evaluate(m, eval);
+    evaluate(m, eval, scratch);
     if (!same_bits(eval.gain_ps, want_gain))
       throw SerializeError("eco checkpoint replay diverged at move " +
                            std::to_string(i + 1) + " (gain mismatch)");

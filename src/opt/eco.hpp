@@ -12,11 +12,14 @@
 //      their row whitespace (SVA mode only -- a context-blind corner
 //      prices every position identically, so re-spacing can never gain);
 //   3. price every candidate exactly and concurrently with
-//      Sta::run_what_if (const, allocation-local; results land in
+//      Sta::price_what_if: each pricing chunk owns a mirror of the
+//      committed timing, patches it in place along the candidate's dirty
+//      cone, reads the critical delay and rolls it back (gains land in
 //      pre-sized slots, so the outcome is schedule-independent);
 //   4. commit the single best move (gain, then smallest area, then lowest
-//      gate index -- a deterministic total order) and fold its what-if
-//      timing in as the new committed state;
+//      gate index -- a deterministic total order) by propagating it alone
+//      into the committed timing (Sta::apply_what_if), whose gain must
+//      equal the priced gain bit for bit;
 //
 // until the clock is met, the gain stalls below min_gain_ps, or max_moves
 // is hit.  The headline experiment: driving this loop with the SVA corner
@@ -155,6 +158,10 @@ class EcoOptimizer {
   const Netlist& netlist() const { return netlist_; }
   const Placement& placement() const { return placement_; }
   const EcoConfig& config() const { return config_; }
+  /// The committed moves in commit order (the replay journal).
+  const std::vector<Move>& committed_moves() const {
+    return committed_moves_;
+  }
 
   /// Worst slack of the committed state under the configured corner.
   double worst_slack_ps() const;
@@ -164,20 +171,38 @@ class EcoOptimizer {
     Move move;
     double gain_ps = 0.0;
     double area_delta = 0.0;
-    StaResult timing;
-    /// Respace commit data: re-measured spacings and the matching
-    /// hypothetical factor rows of the affected gates.
+    /// Respace commit data: re-measured spacings, the matching
+    /// hypothetical factor rows of the affected gates, and the gates
+    /// whose row actually changed (the what-if seeds).
     std::vector<NpsUpdate> nps_updates;
     std::vector<OverlayScale::Row> factor_rows;
+    std::vector<std::size_t> changed;
+  };
+
+  /// Pricing state of one parallel_for chunk: a mirror of current_
+  /// (synced once per chunk and iteration) and the incremental routine's
+  /// reusable buffers.
+  struct PricingScratch {
+    StaResult mirror;
+    Sta::Workspace work;
   };
 
   std::vector<double> committed_row(std::size_t gate) const;
   std::vector<Move> enumerate_candidates(
       const std::vector<double>& net_slack_ps, double threshold_ps) const;
-  void evaluate(const Move& move, Evaluation& out) const;
+  /// Price `move` against the committed state on `scratch` (whose mirror
+  /// must equal current_; it does again on return).
+  void evaluate(const Move& move, Evaluation& out,
+                PricingScratch& scratch) const;
+  /// Call fn(scale, cell_overrides, scale_changed_gates) with `e`'s
+  /// what-if edit of the committed state.
+  template <typename Fn>
+  decltype(auto) with_edit(const Evaluation& e, Fn&& fn) const;
   /// Deterministic total order: larger gain, then smaller area, then
   /// lower gate, then kind, then target cell, then smaller |dx|.
   static bool better(const Evaluation& a, const Evaluation& b);
+  /// Propagate `best` alone into current_ (asserting the realized gain is
+  /// the priced one, bit for bit), then mutate the design to match.
   void commit(Evaluation&& best);
   /// Commit `chosen` and append its trajectory record / counters to
   /// result_.  The single bookkeeping path shared by run() and restore()
@@ -193,6 +218,10 @@ class EcoOptimizer {
   std::vector<VersionKey> versions_;
   std::vector<std::vector<double>> factors_;  // committed, [gate][arc]
   StaResult current_;                         // committed forward timing
+  /// One per pricing chunk, reused across iterations (never shared by two
+  /// chunks of one parallel_for).
+  std::vector<PricingScratch> scratch_;
+  Sta::Workspace commit_work_;  ///< commit's incremental buffers
   /// Committed-state accumulator: trajectory, counters, and the header
   /// fields the summary prints.  Lives on the optimizer (not run()'s
   /// stack) so checkpoint/restore and repeated run() calls all see one

@@ -6,7 +6,7 @@
 //   * sizing (Upsize / Downsize): swap a gate to an adjacent rung of its
 //     drive-strength ladder (opt/sizing.hpp).  Printing-context-neutral,
 //     so the committed corner factors are reused unchanged; the candidate
-//     is priced with Sta::run_what_if's hypothetical master swap.
+//     is priced with Sta::price_what_if's hypothetical master swap.
 //
 //   * context re-spacing (Respace): shift a gate inside its row
 //     whitespace.  The poly spacings of the gate and its abutting

@@ -1,6 +1,7 @@
 #include "sta/compiled.hpp"
 
 #include <cstring>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -198,14 +199,19 @@ CompiledTiming::CompiledTiming(
   metrics.counter("sta.kernel.arena_bytes").add(arena_bytes());
 }
 
+std::pair<std::uint32_t, double> CompiledTiming::resolve_load(
+    double load) const {
+  const double* ys = arena_.data() + y_off_;
+  const std::size_t j = seg_lookup(ys, ny_, load);
+  // The exact quotient interp::lerp computes for this axis segment.
+  return {static_cast<std::uint32_t>(j),
+          (load - ys[j]) / (ys[j + 1] - ys[j])};
+}
+
 void CompiledTiming::update_net_load(std::size_t net, double load) {
   if (!uniform_axes_) return;
   SVA_REQUIRE(net < load_seg_.size());
-  const double* ys = arena_.data() + y_off_;
-  const std::size_t j = seg_lookup(ys, ny_, load);
-  load_seg_[net] = static_cast<std::uint32_t>(j);
-  // The exact quotient interp::lerp computes for this axis segment.
-  load_t_[net] = (load - ys[j]) / (ys[j + 1] - ys[j]);
+  std::tie(load_seg_[net], load_t_[net]) = resolve_load(load);
 }
 
 void CompiledTiming::bind_loads(const double* loads, std::size_t count) {
@@ -226,54 +232,119 @@ void CompiledTiming::gather_factors(const ArcScaleProvider& scale,
 
 namespace {
 
-/// The uniform-axes inner loop with a compile-time slew-axis length, so
-/// the per-arc segment search unrolls to branch-free straight-line code.
-/// Bilinear interpolation follows LookupTable2D::at's exact FP order,
-/// with the load-axis lerps expanded around the pre-resolved per-net
-/// parameter ty and the slew-axis quotient tx computed once and reused
-/// by the slew lookup (at() recomputes the identical doubles).
-template <std::size_t NX>
-void eval_uniform(const CompiledTiming::GateRec* gates, std::size_t first,
-                  std::size_t last, const CompiledTiming::ArcRec* arcs,
-                  const double* arena, const double* xs, std::size_t ny,
-                  const std::uint32_t* load_seg, const double* load_t,
-                  const double* factors, StaResult& result) {
-  double* arrival = result.arrival_ps.data();
-  double* slew = result.slew_ps.data();
-  std::size_t* from = result.from_net.data();
+/// Output arrays of one evaluation.
+struct Outputs {
+  double* arrival;
+  double* slew;
+  std::size_t* from;
+};
 
-  for (std::size_t g = first; g < last; ++g) {
-    const CompiledTiming::GateRec& gate = gates[g];
-    const std::size_t j = load_seg[gate.out_net];
-    const double ty = load_t[gate.out_net];
-    double worst_arrival = -1.0;
-    double worst_slew = 0.0;
-    std::size_t worst_from = kNoDriver;
-    const std::size_t end = gate.first_arc + gate.arc_count;
-    for (std::size_t a = gate.first_arc; a < end; ++a) {
-      const CompiledTiming::ArcRec& arc = arcs[a];
-      const double in_slew = slew[arc.in_net];
-      const std::size_t i = seg_lookup_fixed<NX>(xs, in_slew);
-      const double x0 = xs[i];
-      const double tx = (in_slew - x0) / (xs[i + 1] - x0);
-      const double* d = arena + arc.d_off + i * ny + j;
-      const double d_lo = d[0] + ty * (d[1] - d[0]);
-      const double d_hi = d[ny] + ty * (d[ny + 1] - d[ny]);
-      const double delay = d_lo + tx * (d_hi - d_lo);
-      const double arr =
-          arrival[arc.in_net] + arc.wire_delay + factors[a] * delay;
-      if (arr > worst_arrival) {
-        worst_arrival = arr;
-        const double* s = arena + arc.s_off + i * ny + j;
-        const double s_lo = s[0] + ty * (s[1] - s[0]);
-        const double s_hi = s[ny] + ty * (s[ny + 1] - s[ny]);
-        worst_slew = factors[a] * (s_lo + tx * (s_hi - s_lo));
-        worst_from = arc.in_net;
-      }
+Outputs outputs_of(StaResult& result) {
+  return {result.arrival_ps.data(), result.slew_ps.data(),
+          result.from_net.data()};
+}
+
+/// One gate of the uniform-axes kernel, with a compile-time slew-axis
+/// length so the per-arc segment search unrolls to branch-free
+/// straight-line code.  Bilinear interpolation follows
+/// LookupTable2D::at's exact FP order, with the load-axis lerps expanded
+/// around the output net's pre-resolved segment j and parameter ty, and
+/// the slew-axis quotient tx computed once and reused by the slew lookup
+/// (at() recomputes the identical doubles).  Arc k reads its fanin net
+/// and wire delay from arcs[k], its value tables from tables[k] (an
+/// ArcRec or an interned TableRef) and its scale from factor(k).
+template <std::size_t NX, typename Table, typename Factor>
+inline void eval_gate_uniform(const CompiledTiming::ArcRec* arcs,
+                              const Table* tables, std::size_t n,
+                              Factor&& factor, const double* arena,
+                              const double* xs, std::size_t ny,
+                              std::size_t j, double ty, std::size_t out_net,
+                              const Outputs& out) {
+  double worst_arrival = -1.0;
+  double worst_slew = 0.0;
+  std::size_t worst_from = kNoDriver;
+  for (std::size_t k = 0; k < n; ++k) {
+    const CompiledTiming::ArcRec& arc = arcs[k];
+    const double f = factor(k);
+    const double in_slew = out.slew[arc.in_net];
+    const std::size_t i = seg_lookup_fixed<NX>(xs, in_slew);
+    const double x0 = xs[i];
+    const double tx = (in_slew - x0) / (xs[i + 1] - x0);
+    const double* d = arena + tables[k].d_off + i * ny + j;
+    const double d_lo = d[0] + ty * (d[1] - d[0]);
+    const double d_hi = d[ny] + ty * (d[ny + 1] - d[ny]);
+    const double delay = d_lo + tx * (d_hi - d_lo);
+    const double arr = out.arrival[arc.in_net] + arc.wire_delay + f * delay;
+    if (arr > worst_arrival) {
+      worst_arrival = arr;
+      const double* s = arena + tables[k].s_off + i * ny + j;
+      const double s_lo = s[0] + ty * (s[1] - s[0]);
+      const double s_hi = s[ny] + ty * (s[ny + 1] - s[ny]);
+      worst_slew = f * (s_lo + tx * (s_hi - s_lo));
+      worst_from = arc.in_net;
     }
-    arrival[gate.out_net] = worst_arrival;
-    slew[gate.out_net] = worst_slew;
-    from[gate.out_net] = worst_from;
+  }
+  out.arrival[out_net] = worst_arrival;
+  out.slew[out_net] = worst_slew;
+  out.from[out_net] = worst_from;
+}
+
+/// One gate of the generic (per-arc axes) fallback: the same FP order,
+/// with both segment searches per arc and the load read directly.
+template <typename Table, typename Factor>
+inline void eval_gate_generic(const CompiledTiming::ArcRec* arcs,
+                              const Table* tables, std::size_t n,
+                              Factor&& factor, const double* arena,
+                              double load, std::size_t out_net,
+                              const Outputs& out) {
+  double worst_arrival = -1.0;
+  double worst_slew = 0.0;
+  std::size_t worst_from = kNoDriver;
+  for (std::size_t k = 0; k < n; ++k) {
+    const CompiledTiming::ArcRec& arc = arcs[k];
+    const Table& t = tables[k];
+    const double f = factor(k);
+    const double* xs = arena + t.x_off;
+    const double* ys = arena + t.y_off;
+    const double in_slew = out.slew[arc.in_net];
+    const std::size_t i = seg_lookup(xs, t.nx, in_slew);
+    const std::size_t j = seg_lookup(ys, t.ny, load);
+    const double x0 = xs[i], x1 = xs[i + 1];
+    const double y0 = ys[j], y1 = ys[j + 1];
+    // Bilinear interpolation in LookupTable2D::at's exact order: lerp
+    // along the load axis at slew grid lines i and i+1, then along the
+    // slew axis.  The delay and slew tables share axes (NldmTable
+    // invariant), so one segment search serves both lookups -- the
+    // scalar path redoes it four times per arc.
+    const double* d = arena + t.d_off + i * t.ny + j;
+    const double d_lo = lerp(y0, d[0], y1, d[1], load);
+    const double d_hi = lerp(y0, d[t.ny], y1, d[t.ny + 1], load);
+    const double delay = lerp(x0, d_lo, x1, d_hi, in_slew);
+    const double arr = out.arrival[arc.in_net] + arc.wire_delay + f * delay;
+    if (arr > worst_arrival) {
+      worst_arrival = arr;
+      const double* s = arena + t.s_off + i * t.ny + j;
+      const double s_lo = lerp(y0, s[0], y1, s[1], load);
+      const double s_hi = lerp(y0, s[t.ny], y1, s[t.ny + 1], load);
+      worst_slew = f * lerp(x0, s_lo, x1, s_hi, in_slew);
+      worst_from = arc.in_net;
+    }
+  }
+  out.arrival[out_net] = worst_arrival;
+  out.slew[out_net] = worst_slew;
+  out.from[out_net] = worst_from;
+}
+
+/// Call fn(std::integral_constant<size_t, NX>) for the slew-axis lengths
+/// the uniform kernel is instantiated for (the characterization grids in
+/// use); false for any other length, which takes the generic path.
+template <typename Fn>
+bool with_axis_length(std::size_t nx, Fn&& fn) {
+  switch (nx) {
+    case 5: fn(std::integral_constant<std::size_t, 5>{}); return true;
+    case 7: fn(std::integral_constant<std::size_t, 7>{}); return true;
+    case 8: fn(std::integral_constant<std::size_t, 8>{}); return true;
+    default: return false;
   }
 }
 
@@ -283,82 +354,63 @@ void CompiledTiming::evaluate_span(std::size_t first, std::size_t last,
                                    const double* factors, const double* loads,
                                    StaResult& result) const {
   const double* arena = arena_.data();
-  const double* xs = arena + x_off_;
-  switch (uniform_axes_ ? nx_ : 0u) {
-    // The instantiated lengths cover the characterization grids in use;
-    // anything else falls back to the generic per-arc path (identical
-    // results, un-hoisted searches).
-    case 5:
-      eval_uniform<5>(gates_.data(), first, last, arcs_.data(), arena, xs,
-                      ny_, load_seg_.data(), load_t_.data(), factors,
-                      result);
-      return;
-    case 7:
-      eval_uniform<7>(gates_.data(), first, last, arcs_.data(), arena, xs,
-                      ny_, load_seg_.data(), load_t_.data(), factors,
-                      result);
-      return;
-    case 8:
-      eval_uniform<8>(gates_.data(), first, last, arcs_.data(), arena, xs,
-                      ny_, load_seg_.data(), load_t_.data(), factors,
-                      result);
-      return;
-    default:
-      evaluate_span_generic(first, last, factors, loads, result);
+  const Outputs out = outputs_of(result);
+  if (uniform_axes_ &&
+      with_axis_length(nx_, [&](auto nx) {
+        const double* xs = arena + x_off_;
+        for (std::size_t g = first; g < last; ++g) {
+          const GateRec& gate = gates_[g];
+          const ArcRec* arcs = arcs_.data() + gate.first_arc;
+          const double* f = factors + gate.first_arc;
+          eval_gate_uniform<decltype(nx)::value>(
+              arcs, arcs, gate.arc_count,
+              [f](std::size_t k) { return f[k]; }, arena, xs, ny_,
+              load_seg_[gate.out_net], load_t_[gate.out_net], gate.out_net,
+              out);
+        }
+      }))
+    return;
+  for (std::size_t g = first; g < last; ++g) {
+    const GateRec& gate = gates_[g];
+    const ArcRec* arcs = arcs_.data() + gate.first_arc;
+    const double* f = factors + gate.first_arc;
+    eval_gate_generic(arcs, arcs, gate.arc_count,
+                      [f](std::size_t k) { return f[k]; }, arena,
+                      loads[gate.out_net], gate.out_net, out);
   }
 }
 
-void CompiledTiming::evaluate_span_generic(std::size_t first,
-                                           std::size_t last,
-                                           const double* factors,
-                                           const double* loads,
-                                           StaResult& result) const {
+void CompiledTiming::evaluate_gate(std::size_t gate, std::size_t cell_index,
+                                   const ArcScaleProvider& scale,
+                                   const double* loads,
+                                   const double* load_override,
+                                   StaResult& result) const {
+  const GateRec& rec = gates_[gate_rec_of_[gate]];
+  const std::vector<TableRef>& tables = cell_tables_[cell_index];
+  SVA_ASSERT(tables.size() == rec.arc_count);
+  const ArcRec* arcs = arcs_.data() + rec.first_arc;
+  const auto factor = [&](std::size_t k) {
+    const double f = scale.scale(gate, tables[k].arc_index);
+    SVA_ASSERT_MSG(f > 0.0, "arc scale must be positive");
+    return f;
+  };
   const double* arena = arena_.data();
-  const ArcRec* arcs = arcs_.data();
-  double* arrival = result.arrival_ps.data();
-  double* slew = result.slew_ps.data();
-  std::size_t* from = result.from_net.data();
-
-  for (std::size_t g = first; g < last; ++g) {
-    const GateRec& gate = gates_[g];
-    const double load = loads[gate.out_net];
-    double worst_arrival = -1.0;
-    double worst_slew = 0.0;
-    std::size_t worst_from = kNoDriver;
-    const std::size_t end = gate.first_arc + gate.arc_count;
-    for (std::size_t a = gate.first_arc; a < end; ++a) {
-      const ArcRec& arc = arcs[a];
-      const double* xs = arena + arc.x_off;
-      const double* ys = arena + arc.y_off;
-      const double in_slew = slew[arc.in_net];
-      const std::size_t i = seg_lookup(xs, arc.nx, in_slew);
-      const std::size_t j = seg_lookup(ys, arc.ny, load);
-      const double x0 = xs[i], x1 = xs[i + 1];
-      const double y0 = ys[j], y1 = ys[j + 1];
-      // Bilinear interpolation in LookupTable2D::at's exact order: lerp
-      // along the load axis at slew grid lines i and i+1, then along the
-      // slew axis.  The delay and slew tables share axes (NldmTable
-      // invariant), so one segment search serves both lookups -- the
-      // scalar path redoes it four times per arc.
-      const double* d = arena + arc.d_off + i * arc.ny + j;
-      const double d_lo = lerp(y0, d[0], y1, d[1], load);
-      const double d_hi = lerp(y0, d[arc.ny], y1, d[arc.ny + 1], load);
-      const double delay = lerp(x0, d_lo, x1, d_hi, in_slew);
-      const double arr =
-          arrival[arc.in_net] + arc.wire_delay + factors[a] * delay;
-      if (arr > worst_arrival) {
-        worst_arrival = arr;
-        const double* s = arena + arc.s_off + i * arc.ny + j;
-        const double s_lo = lerp(y0, s[0], y1, s[1], load);
-        const double s_hi = lerp(y0, s[arc.ny], y1, s[arc.ny + 1], load);
-        worst_slew = factors[a] * lerp(x0, s_lo, x1, s_hi, in_slew);
-        worst_from = arc.in_net;
-      }
-    }
-    arrival[gate.out_net] = worst_arrival;
-    slew[gate.out_net] = worst_slew;
-    from[gate.out_net] = worst_from;
-  }
+  const Outputs out = outputs_of(result);
+  if (uniform_axes_ &&
+      with_axis_length(nx_, [&](auto nx) {
+        std::uint32_t j = load_seg_[rec.out_net];
+        double ty = load_t_[rec.out_net];
+        if (load_override != nullptr)
+          std::tie(j, ty) = resolve_load(*load_override);
+        eval_gate_uniform<decltype(nx)::value>(
+            arcs, tables.data(), rec.arc_count, factor, arena,
+            arena + x_off_, ny_, j, ty, rec.out_net, out);
+      }))
+    return;
+  eval_gate_generic(arcs, tables.data(), rec.arc_count, factor, arena,
+                    load_override != nullptr ? *load_override
+                                             : loads[rec.out_net],
+                    rec.out_net, out);
 }
 
 void CompiledTiming::refresh_gate(std::size_t gate, std::size_t cell_index) {

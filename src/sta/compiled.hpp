@@ -3,15 +3,16 @@
 // into structure-of-arrays arc records plus a packed, deduplicated NLDM
 // table arena ("timing bytecode").
 //
-// The scalar path (Sta::run_scalar) interprets the netlist on every pass:
-// it chases GateInst -> CharacterizedCell -> NldmTable -> LookupTable2D
-// pointers and calls through four non-inlined interpolation helpers per
-// table lookup.  CompiledTiming flattens everything those lookups need --
-// fanin net, precomputed wire delay, arena offsets of the (shared-axis)
-// delay/slew tables -- into one contiguous ArcRec per (gate, fanin pin),
-// grouped per gate and per topological level.  A full-graph pass is then
-// a single tight loop over flat arrays with a branch-free segment search
-// and inlined bilinear interpolation.
+// A scalar interpreter (the test-only oracle in tests/sta_scalar_oracle.*)
+// walks the netlist on every pass: it chases GateInst -> CharacterizedCell
+// -> NldmTable -> LookupTable2D pointers and calls through four
+// non-inlined interpolation helpers per table lookup.  CompiledTiming
+// flattens everything those lookups need -- fanin net, precomputed wire
+// delay, arena offsets of the (shared-axis) delay/slew tables -- into one
+// contiguous ArcRec per (gate, fanin pin), grouped per gate and per
+// topological level.  A full-graph pass is then a single tight loop over
+// flat arrays with a branch-free segment search and inlined bilinear
+// interpolation.
 //
 // Bit-identity by construction: every delay/slew value is computed with
 // exactly the FP operation sequence of LookupTable2D::at (segment index =
@@ -20,6 +21,8 @@
 // * (y1-y0)), and the per-gate worst-arrival reduction visits arcs in the
 // same fanin order.  tests/sta_test.cpp asserts the equivalence bitwise
 // against the scalar oracle across circuits, scales, and thread counts.
+// evaluate_gate runs the same per-gate kernel on one gate at a time for
+// Sta's incremental dirty-cone routine.
 //
 // The arena deduplicates tables by FNV-1a content hash (equal axes and
 // values verified bytewise on hash hit): symmetric arcs of one master and
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sta/sta.hpp"
@@ -102,6 +106,17 @@ class CompiledTiming {
                      const double* factors, const double* loads,
                      StaResult& result) const;
 
+  /// Evaluate one gate as an instance of `cell_index` (its own master, or
+  /// a pin-compatible what-if override) through that cell's interned
+  /// tables, with per-arc factors from `scale` (checked positive).  A
+  /// non-null `load_override` replaces the gate's bound output load; its
+  /// axis segment and parameter are resolved exactly as update_net_load
+  /// does.  `loads` are the bound loads (the generic path reads them).
+  /// Same per-gate kernel, hence the same doubles, as evaluate_span.
+  void evaluate_gate(std::size_t gate, std::size_t cell_index,
+                     const ArcScaleProvider& scale, const double* loads,
+                     const double* load_override, StaResult& result) const;
+
   /// Re-point one gate's arc records at another master's tables after an
   /// in-place pin-compatible swap (Netlist::set_gate_cell).
   void refresh_gate(std::size_t gate, std::size_t cell_index);
@@ -118,9 +133,9 @@ class CompiledTiming {
  private:
   TableRef intern_table(const NldmTable& nldm, std::uint32_t arc_index);
   std::uint32_t intern_axis(const std::vector<double>& axis);
-  void evaluate_span_generic(std::size_t first, std::size_t last,
-                             const double* factors, const double* loads,
-                             StaResult& result) const;
+  /// A load's segment on the shared load axis and its interpolation
+  /// parameter (uniform axes only).
+  std::pair<std::uint32_t, double> resolve_load(double load) const;
 
   std::vector<double> arena_;    ///< packed axes + values, deduplicated
   std::vector<ArcRec> arcs_;     ///< grouped per gate, gates level-major

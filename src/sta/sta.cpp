@@ -1,7 +1,7 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <tuple>
 #include <utility>
 
 #include "sta/compiled.hpp"
@@ -45,7 +45,7 @@ Sta::Sta(const Netlist& netlist, const CharacterizedLibrary& library,
   }
 
   // Bucket gates by logic level for the levelized kernel and the dirty
-  // queue.  Also freezes the netlist's topological-order cache up front.
+  // buckets.  Also freezes the netlist's topological-order cache up front.
   gate_level_ = netlist.gate_levels();
   std::size_t max_level = 0;
   for (std::size_t gi : netlist.topological_order())
@@ -114,14 +114,14 @@ std::size_t Sta::WhatIfOverlay::cell_of(std::size_t gate,
   return base;
 }
 
-double Sta::WhatIfOverlay::net_load(std::size_t net, double fallback) const {
+const double* Sta::WhatIfOverlay::find_load(std::size_t net) const {
   const auto it = std::lower_bound(
       load.begin(), load.end(), net,
       [](const std::pair<std::size_t, double>& e, std::size_t n) {
         return e.first < n;
       });
-  if (it != load.end() && it->first == net) return it->second;
-  return fallback;
+  if (it != load.end() && it->first == net) return &it->second;
+  return nullptr;
 }
 
 double Sta::compute_net_load_overlay(std::size_t net_index,
@@ -139,54 +139,25 @@ double Sta::compute_net_load_overlay(std::size_t net_index,
   return load;
 }
 
-void Sta::evaluate_gate(const ArcScaleProvider& scale, std::size_t gi,
-                        StaResult& result,
-                        const WhatIfOverlay* overlay) const {
-  const Netlist& nl = *netlist_;
-  const GateInst& gate = nl.gates()[gi];
-  const std::size_t cell_index =
-      overlay != nullptr ? overlay->cell_of(gi, gate.cell_index)
-                         : gate.cell_index;
-  const std::vector<const CharacterizedArc*>& arcs = cell_arcs_[cell_index];
-  double load = load_cache_[gate.output_net];
-  if (overlay != nullptr)
-    load = overlay->net_load(gate.output_net, load);
-
-  double worst_arrival = -1.0;
-  double worst_slew = 0.0;
-  std::size_t worst_from = kNoDriver;
-  for (std::size_t pi = 0; pi < gate.fanin_nets.size(); ++pi) {
-    const std::size_t in_net = gate.fanin_nets[pi];
-    const CharacterizedArc& arc = *arcs[pi];
-    const double factor = scale.scale(gi, arc.arc_index);
-    SVA_ASSERT_MSG(factor > 0.0, "arc scale must be positive");
-    const double in_slew = result.slew_ps[in_net];
-    const double wire_delay = wire_delay_cache_[in_net];
-    const double arrival = result.arrival_ps[in_net] + wire_delay +
-                           factor * arc.nldm.delay_ps(in_slew, load);
-    if (arrival > worst_arrival) {
-      worst_arrival = arrival;
-      worst_slew = factor * arc.nldm.output_slew_ps(in_slew, load);
-      worst_from = in_net;
+std::pair<double, std::size_t> Sta::worst_po(
+    const std::vector<double>& arrival_ps) const {
+  SVA_REQUIRE_MSG(!po_nets_.empty(), "netlist has no primary outputs");
+  double worst = 0.0;
+  std::size_t worst_net = 0;
+  for (std::size_t ni : po_nets_) {
+    if (arrival_ps[ni] >= worst) {
+      worst = arrival_ps[ni];
+      worst_net = ni;
     }
   }
-  result.arrival_ps[gate.output_net] = worst_arrival;
-  result.slew_ps[gate.output_net] = worst_slew;
-  result.from_net[gate.output_net] = worst_from;
+  return {worst, worst_net};
 }
 
 void Sta::finalize_result(StaResult& result) const {
   const Netlist& nl = *netlist_;
-  result.critical_delay_ps = 0.0;
+  std::tie(result.critical_delay_ps, result.critical_po_net) =
+      worst_po(result.arrival_ps);
   result.critical_path.clear();
-  SVA_REQUIRE_MSG(!po_nets_.empty(), "netlist has no primary outputs");
-  for (std::size_t ni : po_nets_) {
-    if (result.arrival_ps[ni] >= result.critical_delay_ps) {
-      result.critical_delay_ps = result.arrival_ps[ni];
-      result.critical_po_net = ni;
-    }
-  }
-
   std::size_t net = result.critical_po_net;
   while (net != kNoDriver && !nl.nets()[net].is_primary_input()) {
     const std::size_t gi = nl.nets()[net].driver_gate;
@@ -213,15 +184,6 @@ StaResult Sta::run(const ArcScaleProvider& scale) const {
   // graph is one contiguous gate-record span.
   compiled_->evaluate_span(0, compiled_->gate_count(), factors.data(),
                            load_cache_.data(), result);
-  finalize_result(result);
-  return result;
-}
-
-StaResult Sta::run_scalar(const ArcScaleProvider& scale) const {
-  const Netlist& nl = *netlist_;
-  StaResult result = make_result();
-  for (std::size_t gi : nl.topological_order())
-    evaluate_gate(scale, gi, result);
   finalize_result(result);
   return result;
 }
@@ -257,74 +219,18 @@ StaResult Sta::run_parallel(const ArcScaleProvider& scale, ThreadPool& pool,
   return result;
 }
 
-StaResult Sta::propagate_incremental(
-    const ArcScaleProvider& scale, const StaResult& previous,
-    const std::vector<std::size_t>& seed_gates,
-    const WhatIfOverlay* overlay) const {
+const Sta::WhatIfOverlay* Sta::build_what_if(
+    std::span<const GateCellOverride> cell_overrides,
+    std::span<const std::size_t> scale_changed_gates, Workspace& ws) const {
   const Netlist& nl = *netlist_;
-  SVA_REQUIRE(previous.arrival_ps.size() == nl.nets().size());
-  SVA_REQUIRE(previous.from_net.size() == nl.nets().size());
+  ws.seeds.assign(scale_changed_gates.begin(), scale_changed_gates.end());
+  if (cell_overrides.empty()) return nullptr;
 
-  StaResult result = previous;
-  std::vector<char> dirty(nl.gates().size(), 0);
-
-  // Level-ordered dirty queue: pop the lowest-level dirty gate, re-
-  // evaluate, push changed fanout.  Every push targets a strictly higher
-  // level than the gate that caused it (a sink of its output net), so by
-  // the time a gate pops, all dirty gates that could affect its fanins
-  // have been processed -- the same dataflow order as a full topological
-  // scan, without visiting the O(V) clean gates.
-  using Item = std::pair<std::uint32_t, std::uint32_t>;  // (level, gate)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
-  const auto mark = [&](std::size_t gi) {
-    if (dirty[gi]) return;
-    dirty[gi] = 1;
-    queue.emplace(static_cast<std::uint32_t>(gate_level_[gi]),
-                  static_cast<std::uint32_t>(gi));
-  };
-  for (std::size_t gi : seed_gates) {
-    SVA_REQUIRE(gi < nl.gates().size());
-    mark(gi);
-  }
-
-  std::size_t touched = 0;
-  while (!queue.empty()) {
-    const std::size_t gi = queue.top().second;
-    queue.pop();
-    ++touched;
-    const std::size_t out = nl.gates()[gi].output_net;
-    const double old_arrival = result.arrival_ps[out];
-    const double old_slew = result.slew_ps[out];
-    evaluate_gate(scale, gi, result, overlay);
-    if (result.arrival_ps[out] == old_arrival &&
-        result.slew_ps[out] == old_slew)
-      continue;  // cone converged: fanout unaffected
-    for (const NetSink& sink : nl.nets()[out].sinks) mark(sink.gate);
-  }
-  incr_touched_->add(touched);
-  incr_total_->add(nl.gates().size());
-  finalize_result(result);
-  return result;
-}
-
-StaResult Sta::run_incremental(
-    const ArcScaleProvider& scale, const StaResult& previous,
-    const std::vector<std::size_t>& changed_gates) const {
-  return propagate_incremental(scale, previous, changed_gates, nullptr);
-}
-
-StaResult Sta::run_what_if(
-    const ArcScaleProvider& scale, const StaResult& previous,
-    const std::vector<GateCellOverride>& cell_overrides,
-    const std::vector<std::size_t>& scale_changed_gates) const {
-  const Netlist& nl = *netlist_;
-
-  WhatIfOverlay overlay;
-  overlay.cells = cell_overrides;
+  WhatIfOverlay& overlay = ws.overlay;
+  overlay.cells.assign(cell_overrides.begin(), cell_overrides.end());
   overlay.build_index();
-
-  std::vector<std::size_t> seeds = scale_changed_gates;
-  std::vector<std::size_t> affected_nets;
+  overlay.load.clear();
+  ws.affected_nets.clear();
   for (const GateCellOverride& o : cell_overrides) {
     SVA_REQUIRE(o.gate < nl.gates().size());
     SVA_REQUIRE(o.cell_index < library_->cells.size());
@@ -332,17 +238,17 @@ StaResult Sta::run_what_if(
     SVA_REQUIRE_MSG(cell_pin_caps_[o.cell_index].size() ==
                         cell_pin_caps_[gate.cell_index].size(),
                     "override master must be pin-compatible");
-    seeds.push_back(o.gate);
+    ws.seeds.push_back(o.gate);
     // The swap changes the pin caps this gate presents to its fanin
     // nets: those nets' drivers see a different load.
-    affected_nets.insert(affected_nets.end(), gate.fanin_nets.begin(),
-                         gate.fanin_nets.end());
+    ws.affected_nets.insert(ws.affected_nets.end(), gate.fanin_nets.begin(),
+                            gate.fanin_nets.end());
   }
-  std::sort(affected_nets.begin(), affected_nets.end());
-  affected_nets.erase(
-      std::unique(affected_nets.begin(), affected_nets.end()),
-      affected_nets.end());
-  for (std::size_t net : affected_nets) {
+  std::sort(ws.affected_nets.begin(), ws.affected_nets.end());
+  ws.affected_nets.erase(
+      std::unique(ws.affected_nets.begin(), ws.affected_nets.end()),
+      ws.affected_nets.end());
+  for (std::size_t net : ws.affected_nets) {
     // Recompute the load from scratch under the overlay rather than
     // patching the cache with a delta: the fresh summation is the exact
     // double a committed set_gate_cell would produce.
@@ -350,9 +256,138 @@ StaResult Sta::run_what_if(
     if (load == load_cache_[net]) continue;  // e.g. same-cap variant
     overlay.load.emplace_back(net, load);
     if (!nl.nets()[net].is_primary_input())
-      seeds.push_back(nl.nets()[net].driver_gate);
+      ws.seeds.push_back(nl.nets()[net].driver_gate);
   }
-  return propagate_incremental(scale, previous, seeds, &overlay);
+  return &overlay;
+}
+
+void Sta::propagate(const ArcScaleProvider& scale,
+                    std::span<const std::size_t> seeds,
+                    const WhatIfOverlay* overlay, StaResult& timing,
+                    Workspace& ws, bool record_undo) const {
+  const Netlist& nl = *netlist_;
+  const std::size_t n_gates = nl.gates().size();
+  SVA_REQUIRE(timing.arrival_ps.size() == nl.nets().size());
+  SVA_REQUIRE(timing.slew_ps.size() == nl.nets().size());
+  SVA_REQUIRE(timing.from_net.size() == nl.nets().size());
+
+  if (ws.stamp.size() != n_gates || ws.buckets.size() != levels_.size()) {
+    ws.stamp.assign(n_gates, 0);
+    ws.buckets.assign(levels_.size(), {});
+    ws.epoch = 0;
+  }
+  if (++ws.epoch == 0) {  // wrapped: no stale stamp may equal the epoch
+    std::fill(ws.stamp.begin(), ws.stamp.end(), 0);
+    ws.epoch = 1;
+  }
+  // Buckets are emptied here rather than as they drain, so a call that
+  // threw part-way leaves nothing behind either.
+  for (std::vector<std::uint32_t>& bucket : ws.buckets) bucket.clear();
+  ws.undo.clear();
+
+  // Level-bucket dirty walk: every push targets a strictly higher level
+  // than the gate that caused it (a sink of its output net), and gates of
+  // one level never read each other's outputs.  So visiting the buckets
+  // in ascending level order evaluates every dirty gate after all dirty
+  // gates that could affect its fanins -- the same dataflow order as a
+  // full topological scan, without visiting the O(V) clean gates.
+  std::size_t lo = levels_.size();  // lowest dirty level
+  std::size_t end = 0;              // one past the highest dirty level
+  const auto mark = [&](std::size_t gi) {
+    if (ws.stamp[gi] == ws.epoch) return;
+    ws.stamp[gi] = ws.epoch;
+    const std::size_t level = gate_level_[gi];
+    ws.buckets[level].push_back(static_cast<std::uint32_t>(gi));
+    lo = std::min(lo, level);
+    end = std::max(end, level + 1);
+  };
+  for (std::size_t gi : seeds) {
+    SVA_REQUIRE(gi < n_gates);
+    mark(gi);
+  }
+
+  std::size_t touched = 0;
+  for (std::size_t level = lo; level < end; ++level) {
+    for (const std::uint32_t gi : ws.buckets[level]) {
+      ++touched;
+      const GateInst& gate = nl.gates()[gi];
+      const std::size_t out = gate.output_net;
+      const double old_arrival = timing.arrival_ps[out];
+      const double old_slew = timing.slew_ps[out];
+      if (record_undo)
+        ws.undo.push_back({out, old_arrival, old_slew, timing.from_net[out]});
+      const std::size_t cell =
+          overlay != nullptr ? overlay->cell_of(gi, gate.cell_index)
+                             : gate.cell_index;
+      const double* load_override =
+          overlay != nullptr ? overlay->find_load(out) : nullptr;
+      compiled_->evaluate_gate(gi, cell, scale, load_cache_.data(),
+                               load_override, timing);
+      if (timing.arrival_ps[out] == old_arrival &&
+          timing.slew_ps[out] == old_slew)
+        continue;  // cone converged: fanout unaffected
+      for (const NetSink& sink : nl.nets()[out].sinks) mark(sink.gate);
+    }
+  }
+  incr_touched_->add(touched);
+  incr_total_->add(n_gates);
+}
+
+void Sta::apply_what_if(const ArcScaleProvider& scale,
+                        std::span<const GateCellOverride> cell_overrides,
+                        std::span<const std::size_t> scale_changed_gates,
+                        StaResult& timing, Workspace& workspace) const {
+  const WhatIfOverlay* overlay =
+      build_what_if(cell_overrides, scale_changed_gates, workspace);
+  propagate(scale, workspace.seeds, overlay, timing, workspace,
+            /*record_undo=*/false);
+  finalize_result(timing);
+}
+
+double Sta::price_what_if(const ArcScaleProvider& scale,
+                          std::span<const GateCellOverride> cell_overrides,
+                          std::span<const std::size_t> scale_changed_gates,
+                          StaResult& mirror, Workspace& workspace) const {
+  const WhatIfOverlay* overlay =
+      build_what_if(cell_overrides, scale_changed_gates, workspace);
+  const auto rollback = [&] {
+    for (const Workspace::Undo& u : workspace.undo) {
+      mirror.arrival_ps[u.net] = u.arrival;
+      mirror.slew_ps[u.net] = u.slew;
+      mirror.from_net[u.net] = u.from;
+    }
+    workspace.undo.clear();
+  };
+  try {
+    propagate(scale, workspace.seeds, overlay, mirror, workspace,
+              /*record_undo=*/true);
+  } catch (...) {
+    rollback();  // a throwing scale provider must not corrupt the mirror
+    throw;
+  }
+  const double critical = worst_po(mirror.arrival_ps).first;
+  rollback();
+  return critical;
+}
+
+StaResult Sta::run_incremental(
+    const ArcScaleProvider& scale, const StaResult& previous,
+    const std::vector<std::size_t>& changed_gates) const {
+  StaResult result = previous;
+  Workspace workspace;
+  apply_what_if(scale, {}, changed_gates, result, workspace);
+  return result;
+}
+
+StaResult Sta::run_what_if(
+    const ArcScaleProvider& scale, const StaResult& previous,
+    const std::vector<GateCellOverride>& cell_overrides,
+    const std::vector<std::size_t>& scale_changed_gates) const {
+  StaResult result = previous;
+  Workspace workspace;
+  apply_what_if(scale, cell_overrides, scale_changed_gates, result,
+                workspace);
+  return result;
 }
 
 SlackResult Sta::run_with_slack(const ArcScaleProvider& scale,

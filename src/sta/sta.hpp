@@ -7,21 +7,21 @@
 // propagation with different ArcScaleProviders (traditional uniform
 // corners, or the paper's context/classification-aware corners).
 //
-// Two interchangeable engines produce bit-identical results:
+// Every analysis runs on the compiled flat kernel (see sta/compiled.hpp):
+// the levelized graph flattened once into structure-of-arrays arc records
+// over a deduplicated NLDM table arena, evaluated as a tight branch-free
+// loop.  A scalar netlist interpreter survives as a test-only oracle
+// (tests/sta_scalar_oracle.*) the kernel is differentially fuzzed against.
 //
-//   * run()/run_parallel() execute the compiled flat kernel (see
-//     sta/compiled.hpp): the levelized graph flattened once into
-//     structure-of-arrays arc records over a deduplicated NLDM table
-//     arena, evaluated as a tight branch-free loop.
-//   * run_scalar() interprets the netlist directly; it is the readable
-//     reference implementation and the oracle the kernel is differentially
-//     fuzzed against (tests/sta_test.cpp).
-//
-// Incremental re-analysis (run_incremental / run_what_if) propagates
-// dirty gates through a level-ordered priority queue, touching O(cone)
-// gates instead of scanning the full topological order per edit.
+// Incremental re-analysis has one routine behind four entry points
+// (run_incremental, run_what_if, price_what_if, apply_what_if): dirty
+// gates are walked level by level from per-level buckets, each evaluated
+// in place through the compiled per-gate kernel, touching O(cone) gates
+// instead of scanning the full topological order per edit.
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cell/characterize.hpp"
@@ -81,13 +81,8 @@ class Sta {
   Sta& operator=(Sta&&) noexcept;
 
   /// Late-mode analysis with the given per-arc delay scaling, executed on
-  /// the compiled flat kernel.  Bit-identical to run_scalar(scale).
+  /// the compiled flat kernel.
   StaResult run(const ArcScaleProvider& scale) const;
-
-  /// Reference scalar interpreter: walks the netlist gate by gate through
-  /// the characterized-cell tables.  Same results as run() bit for bit;
-  /// kept as the readable specification and differential-test oracle.
-  StaResult run_scalar(const ArcScaleProvider& scale) const;
 
   /// Levelized parallel analysis on the compiled kernel: every topological
   /// level is partitioned across the pool with parallel_for.  A gate's
@@ -108,11 +103,11 @@ class Sta {
 
   /// Incremental re-analysis: starting from `previous` (computed with a
   /// scale that differed only at `changed_gates`), re-propagate arrivals
-  /// and slews from the changed gates forward through a level-ordered
-  /// priority queue, pruning fan-out cones as soon as a gate's outputs
-  /// stop changing.  Exact: the result equals run(scale).  Worst case
-  /// degenerates to a full pass; typical what-if edits touch a small
-  /// cone, and only that cone is visited.
+  /// and slews from the changed gates forward level by level, pruning
+  /// fan-out cones as soon as a gate's outputs stop changing.  Exact: the
+  /// result equals run(scale).  Worst case degenerates to a full pass;
+  /// typical what-if edits touch a small cone, and only that cone is
+  /// visited.  A copy of `previous` plus apply_what_if.
   StaResult run_incremental(const ArcScaleProvider& scale,
                             const StaResult& previous,
                             const std::vector<std::size_t>& changed_gates)
@@ -131,13 +126,34 @@ class Sta {
   /// arcs change AND the pin caps they present to their fanin nets change,
   /// so the fanin drivers are re-evaluated too) and as if `scale` had
   /// additionally changed at `scale_changed_gates`.  Exact: equals a full
-  /// run() on a mutated netlist.  Const and allocation-local, so any
-  /// number of candidates can be evaluated concurrently against one Sta.
+  /// run() on a mutated netlist.  A copy of `previous` plus apply_what_if.
   StaResult run_what_if(const ArcScaleProvider& scale,
                         const StaResult& previous,
                         const std::vector<GateCellOverride>& cell_overrides,
                         const std::vector<std::size_t>& scale_changed_gates)
       const;
+
+  class Workspace;
+
+  /// The what-if edit of run_what_if applied to `timing` in place: the
+  /// dirty cone is re-evaluated into it and its critical delay, PO and
+  /// path are refreshed.  Committing a priced candidate this way yields
+  /// exactly the delay price_what_if reported for it.
+  void apply_what_if(const ArcScaleProvider& scale,
+                     std::span<const GateCellOverride> cell_overrides,
+                     std::span<const std::size_t> scale_changed_gates,
+                     StaResult& timing, Workspace& workspace) const;
+
+  /// Price a what-if edit without keeping it: propagate into `mirror` in
+  /// place (logging each overwritten net), fold the critical delay over
+  /// the primary outputs with finalize's rule, then roll `mirror` back
+  /// bit for bit.  Returns the critical delay run_what_if would report.
+  /// `mirror` is a caller-owned copy of the timing being priced against,
+  /// so any number of candidates can be priced against one copy.
+  double price_what_if(const ArcScaleProvider& scale,
+                       std::span<const GateCellOverride> cell_overrides,
+                       std::span<const std::size_t> scale_changed_gates,
+                       StaResult& mirror, Workspace& workspace) const;
 
   /// Required times + slacks for an already-computed forward result (the
   /// backward min-propagation of run_with_slack without re-running the
@@ -166,10 +182,10 @@ class Sta {
   const CompiledTiming& compiled() const { return *compiled_; }
 
  private:
-  /// Per-candidate state of run_what_if: hypothetical cell swaps plus the
-  /// net-load deltas they induce.  Indexed once at construction (sorted
-  /// by gate / by net) so per-gate lookups binary-search instead of
-  /// scanning every override on every evaluation.
+  /// One what-if edit's hypothetical cell swaps plus the net loads they
+  /// induce.  Indexed once per edit (sorted by gate / by net) so per-gate
+  /// lookups binary-search instead of scanning every override on every
+  /// evaluation.
   struct WhatIfOverlay {
     std::vector<GateCellOverride> cells;               ///< sorted by gate
     /// (net, absolute load fF): the affected fanin nets' loads recomputed
@@ -179,29 +195,59 @@ class Sta {
     std::vector<std::pair<std::size_t, double>> load;
 
     /// Sort the override list by gate.  Must be called before any
-    /// cell_of lookup (run_what_if recomputes loads through cell_of).
+    /// cell_of lookup (build_what_if recomputes loads through cell_of).
     void build_index();
 
     std::size_t cell_of(std::size_t gate, std::size_t base) const;
-    /// The net's load under this overlay (`fallback` when unaffected).
-    double net_load(std::size_t net, double fallback) const;
+    /// The net's load under this overlay, or nullptr when unaffected.
+    const double* find_load(std::size_t net) const;
   };
 
-  /// Recompute one gate's output arrival/slew/from in `result`.  The
-  /// overlay, when present, substitutes hypothetical masters and loads.
-  void evaluate_gate(const ArcScaleProvider& scale, std::size_t gate,
-                     StaResult& result,
-                     const WhatIfOverlay* overlay = nullptr) const;
+ public:
+  /// Reusable buffers of the incremental routine: per-level dirty
+  /// buckets, epoch-stamped dirty marks, the undo log of price_what_if,
+  /// and the what-if overlay and seed lists.  Sized on first use; no
+  /// allocation per call after that.  Not thread-safe: one workspace per
+  /// concurrent caller (e.g. per parallel_for chunk).
+  class Workspace {
+    friend class Sta;
+    struct Undo {
+      std::size_t net;
+      double arrival;
+      double slew;
+      std::size_t from;
+    };
+    std::vector<std::vector<std::uint32_t>> buckets;  ///< per level
+    std::vector<std::uint32_t> stamp;  ///< per gate: epoch when marked
+    std::uint32_t epoch = 0;
+    std::vector<Undo> undo;
+    WhatIfOverlay overlay;
+    std::vector<std::size_t> seeds;
+    std::vector<std::size_t> affected_nets;
+  };
+
+ private:
   /// compute_net_load with the overlay's hypothetical masters swapped in
   /// (identical FP summation order, so hypothetical == committed bitwise).
   double compute_net_load_overlay(std::size_t net,
                                   const WhatIfOverlay& overlay) const;
-  /// Shared dirty-cone propagation of run_incremental / run_what_if:
-  /// level-ordered priority-queue pop/evaluate/push, O(cone) gates.
-  StaResult propagate_incremental(const ArcScaleProvider& scale,
-                                  const StaResult& previous,
-                                  const std::vector<std::size_t>& seed_gates,
-                                  const WhatIfOverlay* overlay) const;
+  /// Fill `ws`'s overlay and seed list for one what-if edit; returns the
+  /// overlay, or nullptr when the edit swaps no master.
+  const WhatIfOverlay* build_what_if(
+      std::span<const GateCellOverride> cell_overrides,
+      std::span<const std::size_t> scale_changed_gates, Workspace& ws) const;
+  /// The one incremental routine: walk the dirty gates seeded by `seeds`
+  /// level by level, re-evaluating each in place in `timing` through the
+  /// compiled per-gate kernel and marking the fanout of every gate whose
+  /// arrival or slew changed.  With `record_undo`, every overwritten
+  /// net's old (arrival, slew, from) goes to ws.undo.  Does not finalize.
+  void propagate(const ArcScaleProvider& scale,
+                 std::span<const std::size_t> seeds,
+                 const WhatIfOverlay* overlay, StaResult& timing,
+                 Workspace& ws, bool record_undo) const;
+  /// Worst PO arrival and its net under finalize's `>=` rule.
+  std::pair<double, std::size_t> worst_po(
+      const std::vector<double>& arrival_ps) const;
   /// Fill critical delay / PO / path from arrivals and from_net.
   void finalize_result(StaResult& result) const;
   StaResult make_result() const;
@@ -211,8 +257,8 @@ class Sta {
   const CharacterizedLibrary* library_;
   StaConfig config_;
   std::vector<double> load_cache_;  ///< per net, precomputed
-  /// Per net: wire_delay_per_sink_ps * sink count, precomputed with the
-  /// same FP product the scalar path used to re-derive per evaluation.
+  /// Per net: wire_delay_per_sink_ps * sink count, the same FP product
+  /// the compiled arc records carry (slack_from's backward pass).
   std::vector<double> wire_delay_cache_;
   /// Per library cell, its characterized arcs in input-pin order.  Kills
   /// the per-evaluation input_pins_of() string-vector allocation and the
@@ -225,7 +271,7 @@ class Sta {
   /// netlist's lazy topological-order cache, making concurrent const use
   /// of the netlist race-free).
   std::vector<std::vector<std::size_t>> levels_;
-  std::vector<std::size_t> gate_level_;  ///< per gate, for the dirty queue
+  std::vector<std::size_t> gate_level_;  ///< per gate, for the dirty buckets
   std::vector<std::size_t> po_nets_;     ///< ascending, for finalize
   std::unique_ptr<CompiledTiming> compiled_;
   /// Cached metric handles (creation locks the registry; the what-if path

@@ -7,7 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <span>
+#include <sstream>
+#include <string>
 
 #include "core/flow.hpp"
 #include "core/scales.hpp"
@@ -18,7 +24,9 @@
 #include "opt/trajectory.hpp"
 #include "place/context.hpp"
 #include "sta/sta.hpp"
+#include "sta_scalar_oracle.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace sva {
 namespace {
@@ -279,30 +287,42 @@ TEST(Eco, SvaCornerClosesCheaperThanTraditional) {
   EXPECT_LT(sva.upsize_area_delta, trad.upsize_area_delta);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(Eco, TrajectoryIsScheduleIndependent) {
-  std::vector<EcoResult> results;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{4}}) {
-    EcoConfig cfg = eco_config();
-    EcoOptimizer opt(sized(),
-                     generate_iscas85_like("C432", sized().library()),
-                     flow().config().placement, cfg);
-    ThreadPool pool(threads);
-    results.push_back(opt.run(&pool));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    const EcoResult& a = results[0];
-    const EcoResult& b = results[i];
-    ASSERT_EQ(a.moves_committed(), b.moves_committed()) << i;
-    for (std::size_t m = 0; m < a.trajectory.size(); ++m) {
-      EXPECT_EQ(a.trajectory[m].kind, b.trajectory[m].kind);
-      EXPECT_EQ(a.trajectory[m].gate, b.trajectory[m].gate);
-      EXPECT_EQ(a.trajectory[m].detail, b.trajectory[m].detail);
-      EXPECT_DOUBLE_EQ(a.trajectory[m].gain_ps, b.trajectory[m].gain_ps);
-      EXPECT_DOUBLE_EQ(a.trajectory[m].worst_slack_ps,
-                       b.trajectory[m].worst_slack_ps);
+  // C880 under the SVA corner enumerates enough re-spacing candidates
+  // that every thread count splits them over several pricing chunks.
+  for (const char* circuit : {"C432", "C880"}) {
+    std::vector<EcoResult> results;
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{2}, std::size_t{8}}) {
+      EcoOptimizer opt(sized(),
+                       generate_iscas85_like(circuit, sized().library()),
+                       flow().config().placement, eco_config());
+      ThreadPool pool(threads);
+      results.push_back(opt.run(&pool));
     }
-    EXPECT_DOUBLE_EQ(a.final_worst_slack_ps, b.final_worst_slack_ps);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      const EcoResult& a = results[0];
+      const EcoResult& b = results[i];
+      ASSERT_EQ(a.moves_committed(), b.moves_committed()) << circuit << i;
+      EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
+      for (std::size_t m = 0; m < a.trajectory.size(); ++m) {
+        EXPECT_EQ(a.trajectory[m].kind, b.trajectory[m].kind);
+        EXPECT_EQ(a.trajectory[m].gate, b.trajectory[m].gate);
+        EXPECT_EQ(a.trajectory[m].detail, b.trajectory[m].detail);
+        EXPECT_EQ(bits(a.trajectory[m].gain_ps),
+                  bits(b.trajectory[m].gain_ps))
+            << circuit << " move " << m;
+        EXPECT_EQ(bits(a.trajectory[m].worst_slack_ps),
+                  bits(b.trajectory[m].worst_slack_ps))
+            << circuit << " move " << m;
+        EXPECT_EQ(bits(a.trajectory[m].area_delta),
+                  bits(b.trajectory[m].area_delta));
+      }
+      EXPECT_EQ(bits(a.final_worst_slack_ps), bits(b.final_worst_slack_ps))
+          << circuit << i;
+    }
   }
 }
 
@@ -460,6 +480,204 @@ TEST(Eco, RendersTrajectoryTableAndCsv) {
                 std::count(csv.begin(), csv.end(), '\n')),
             result.moves_committed() + 1);
 }
+
+// ---------------------------------------------------------------------------
+// Differential what-if fuzz along committed ECO trajectories.  The walker
+// below replays an optimizer's committed moves through the same Sta calls
+// the optimizer makes (price_what_if on a mirror, apply_what_if at
+// commit), and at every step prices random sizing and re-spacing
+// candidates.  Every comparison is bitwise.
+
+/// The committed corner-factor row of `gate` at spacing `nps`, derived
+/// the way the optimizer derives it.
+std::vector<double> factor_row(const Netlist& nl, std::size_t gate,
+                               const InstanceNps& nps, const EcoConfig& cfg) {
+  const CellMaster& master = nl.library().master(nl.gates()[gate].cell_index);
+  if (cfg.mode == EcoCornerMode::TraditionalWorst) {
+    const TraditionalCornerScale trad(master.tech().gate_length, cfg.budget,
+                                      Corner::Worst);
+    return std::vector<double>(master.arcs().size(), trad.factor());
+  }
+  const VersionKey version =
+      nps_to_version(nps, sized().context_library().bins());
+  const auto annotations = annotate_gate_arcs(
+      nl, gate, sized().context_library(), version, cfg.budget,
+      cfg.arc_policy, 0.0, &nps, &sized().context_cache());
+  return gate_corner_factors(nl, gate, annotations, cfg.budget,
+                             Corner::Worst);
+}
+
+void expect_same_timing(const StaResult& a, const StaResult& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.arrival_ps.size(), b.arrival_ps.size()) << what;
+  for (std::size_t ni = 0; ni < a.arrival_ps.size(); ++ni) {
+    ASSERT_EQ(bits(a.arrival_ps[ni]), bits(b.arrival_ps[ni]))
+        << what << " arrival net " << ni;
+    ASSERT_EQ(bits(a.slew_ps[ni]), bits(b.slew_ps[ni]))
+        << what << " slew net " << ni;
+    ASSERT_EQ(a.from_net[ni], b.from_net[ni]) << what << " from net " << ni;
+  }
+  ASSERT_EQ(bits(a.critical_delay_ps), bits(b.critical_delay_ps)) << what;
+  ASSERT_EQ(a.critical_po_net, b.critical_po_net) << what;
+  ASSERT_EQ(a.critical_path, b.critical_path) << what;
+}
+
+/// A re-spacing candidate's factor overlay, built like the optimizer's.
+struct RespaceEdit {
+  std::vector<NpsUpdate> updates;
+  std::vector<OverlayScale::Row> rows;
+  std::vector<std::size_t> changed;
+};
+
+RespaceEdit respace_edit(const Netlist& nl, const Placement& placement,
+                         const std::vector<std::vector<double>>& factors,
+                         std::size_t gate, Nm dx, const EcoConfig& cfg) {
+  RespaceEdit edit;
+  edit.updates = nps_after_shift(placement, gate, dx);
+  for (const NpsUpdate& u : edit.updates) {
+    std::vector<double> row = factor_row(nl, u.gate, u.nps, cfg);
+    if (row != factors[u.gate]) edit.changed.push_back(u.gate);
+    edit.rows.emplace_back(u.gate, std::move(row));
+  }
+  return edit;
+}
+
+struct TrajectoryCase {
+  const char* circuit;
+  EcoCornerMode mode;
+};
+
+std::ostream& operator<<(std::ostream& os, const TrajectoryCase& c) {
+  return os << c.circuit << "_" << eco_corner_mode_name(c.mode);
+}
+
+class WhatIfTrajectory : public ::testing::TestWithParam<TrajectoryCase> {};
+
+TEST_P(WhatIfTrajectory, PricingMatchesScalarOracleAndRollsBack) {
+  const auto [circuit, mode] = GetParam();
+  EcoConfig cfg = eco_config();
+  cfg.mode = mode;
+  EcoOptimizer opt(sized(), generate_iscas85_like(circuit, sized().library()),
+                   flow().config().placement, cfg);
+  const EcoResult eco = opt.run();
+  const std::vector<Move>& moves = opt.committed_moves();
+  ASSERT_GT(moves.size(), 0u);
+  const double clock = opt.config().clock_period_ps;
+  const CharacterizedLibrary& charlib = sized().characterized();
+
+  // The walker's design, built from the optimizer's inputs.
+  Netlist nl = generate_iscas85_like(circuit, sized().library());
+  Placement placement(nl, flow().config().placement);
+  std::vector<InstanceNps> nps = extract_nps(placement);
+  std::vector<std::vector<double>> factors(nl.gates().size());
+  for (std::size_t g = 0; g < nl.gates().size(); ++g)
+    factors[g] = factor_row(nl, g, nps[g], cfg);
+  Sta sta(nl, charlib, cfg.sta);
+  StaResult current = sta.run(FactorsScale(factors));
+  ASSERT_EQ(bits(clock - current.critical_delay_ps),
+            bits(eco.initial_worst_slack_ps));
+
+  StaResult mirror = current;
+  Sta::Workspace work;
+  Rng rng(std::string("whatif-trajectory-") + circuit +
+          eco_corner_mode_name(mode));
+  const Nm site = nl.library().master(0).tech().site_width;
+  std::size_t priced_sizing = 0, priced_respace = 0;
+  for (std::size_t step = 0;; ++step) {
+    const std::string at = std::string(circuit) + " step " +
+                           std::to_string(step);
+    for (int trial = 0; trial < 24; ++trial) {
+      const auto g = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(nl.gates().size()) - 1));
+      const std::int64_t kind = rng.uniform_int(0, 2);
+      if (kind < 2) {
+        // Sizing: priced against a fresh Sta on a really mutated netlist.
+        const std::size_t cell = nl.gates()[g].cell_index;
+        if (kind == 0 ? !sized().can_upsize(cell)
+                      : !sized().can_downsize(cell))
+          continue;
+        const Sta::GateCellOverride swap{
+            g, kind == 0 ? sized().upsized(cell) : sized().downsized(cell)};
+        const FactorsScale scale(factors);
+        const double priced = sta.price_what_if(
+            scale, std::span(&swap, 1), {}, mirror, work);
+        Netlist mutated = nl;
+        mutated.set_gate_cell(swap.gate, swap.cell_index);
+        const Sta fresh(mutated, charlib, cfg.sta);
+        ASSERT_EQ(bits(priced),
+                  bits(ScalarSta(fresh, mutated).run(scale).critical_delay_ps))
+            << at << " sizing gate " << g;
+        ++priced_sizing;
+      } else {
+        // Re-spacing: priced against the scalar oracle with the overlay.
+        const auto [lo, hi] = placement.shift_range(g);
+        const Nm dx = static_cast<double>(rng.uniform_int(1, 2)) * site *
+                      (rng.uniform_int(0, 1) == 0 ? -1.0 : 1.0);
+        if (dx < lo || dx > hi) continue;
+        const RespaceEdit edit =
+            respace_edit(nl, placement, factors, g, dx, cfg);
+        const OverlayScale scale(factors, edit.rows);
+        const double priced =
+            sta.price_what_if(scale, {}, edit.changed, mirror, work);
+        ASSERT_EQ(bits(priced),
+                  bits(ScalarSta(sta, nl).run(scale).critical_delay_ps))
+            << at << " respace gate " << g;
+        ++priced_respace;
+      }
+      // Rollback leaves the mirror exactly the committed timing.
+      expect_same_timing(mirror, current, at + " rollback");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (step == moves.size()) break;
+
+    // Commit the optimizer's next move the way the optimizer does:
+    // propagate it alone into the committed timing, then mutate.
+    const Move& m = moves[step];
+    if (m.kind == MoveKind::Respace) {
+      RespaceEdit edit = respace_edit(nl, placement, factors, m.gate, m.dx,
+                                      cfg);
+      sta.apply_what_if(OverlayScale(factors, edit.rows), {}, edit.changed,
+                        current, work);
+      placement.shift_instance(m.gate, m.dx);
+      for (const NpsUpdate& u : edit.updates) nps[u.gate] = u.nps;
+      for (OverlayScale::Row& row : edit.rows)
+        factors[row.first] = std::move(row.second);
+    } else {
+      const Sta::GateCellOverride swap{m.gate, m.to_cell};
+      sta.apply_what_if(FactorsScale(factors), std::span(&swap, 1), {},
+                        current, work);
+      nl.set_gate_cell(m.gate, m.to_cell);
+      sta.update_gate_master(m.gate);
+    }
+    // The committed timing is a fresh full analysis of the mutated
+    // design, and the optimizer's committed state.
+    const Sta fresh(nl, charlib, cfg.sta);
+    expect_same_timing(current, fresh.run(FactorsScale(factors)),
+                       at + " commit");
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(bits(clock - current.critical_delay_ps),
+              bits(eco.trajectory[step].worst_slack_ps))
+        << at;
+    mirror = current;
+  }
+  EXPECT_GT(priced_sizing, 0u);
+  EXPECT_GT(priced_respace, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Iscas85, WhatIfTrajectory,
+    ::testing::Values(TrajectoryCase{"C432", EcoCornerMode::SvaWorst},
+                      TrajectoryCase{"C432", EcoCornerMode::TraditionalWorst},
+                      TrajectoryCase{"C880", EcoCornerMode::SvaWorst},
+                      TrajectoryCase{"C880", EcoCornerMode::TraditionalWorst},
+                      TrajectoryCase{"C1908", EcoCornerMode::SvaWorst},
+                      TrajectoryCase{"C1908",
+                                     EcoCornerMode::TraditionalWorst}),
+    [](const ::testing::TestParamInfo<TrajectoryCase>& info) {
+      std::ostringstream name;
+      name << info.param;
+      return name.str();
+    });
 
 }  // namespace
 }  // namespace sva

@@ -15,6 +15,7 @@
 #include "netlist/iscas85.hpp"
 #include "sta/scale.hpp"
 #include "sta/sta.hpp"
+#include "sta_scalar_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -310,7 +311,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, ScaleSweep,
 // ---------------------------------------------------------------------------
 // Compiled-kernel differential fuzzing: run() executes the flat compiled
 // program (sta/compiled.hpp) and must be BIT-identical -- not just close --
-// to the scalar interpreter run_scalar() under every scale provider, thread
+// to the scalar interpreter ScalarSta under every scale provider, thread
 // count, override set, and incremental seed set.  All comparisons below go
 // through std::bit_cast so even a last-ulp divergence fails.
 
@@ -347,8 +348,10 @@ TEST(StaKernel, CompiledMatchesScalarBitwiseAllCircuits) {
     const Netlist nl = generate_iscas85_like(spec.name, lib());
     const Sta sta(nl, charlib());
     const MatrixScale scale = random_scale(nl, "kernel-" + spec.name);
-    expect_bit_identical(sta.run(scale), sta.run_scalar(scale), spec.name);
-    expect_bit_identical(sta.run(UnitScale{}), sta.run_scalar(UnitScale{}),
+    expect_bit_identical(sta.run(scale), ScalarSta(sta, nl).run(scale),
+                         spec.name);
+    expect_bit_identical(sta.run(UnitScale{}),
+                         ScalarSta(sta, nl).run(UnitScale{}),
                          spec.name + " unit");
   }
 }
@@ -359,7 +362,7 @@ TEST(StaKernel, CompiledMatchesScalarUnderRandomScaleFuzz) {
   for (int round = 0; round < 25; ++round) {
     const MatrixScale scale =
         random_scale(nl, "fuzz-" + std::to_string(round));
-    expect_bit_identical(sta.run(scale), sta.run_scalar(scale),
+    expect_bit_identical(sta.run(scale), ScalarSta(sta, nl).run(scale),
                          "round " + std::to_string(round));
   }
 }
@@ -382,7 +385,8 @@ TEST(StaKernel, SlackFromCompiledRunMatchesScalarRun) {
   const MatrixScale scale = random_scale(nl, "slack");
   const double clock = sta.run(scale).critical_delay_ps * 1.05;
   const SlackResult a = sta.run_with_slack(scale, clock);
-  const SlackResult b = sta.slack_from(scale, sta.run_scalar(scale), clock);
+  const SlackResult b =
+      sta.slack_from(scale, ScalarSta(sta, nl).run(scale), clock);
   ASSERT_EQ(a.slack_ps.size(), b.slack_ps.size());
   for (std::size_t ni = 0; ni < a.slack_ps.size(); ++ni)
     ASSERT_EQ(bits(a.slack_ps[ni]), bits(b.slack_ps[ni])) << ni;
