@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus robustness passes: the paper-anchor CSVs regenerated
 # byte for byte, fault-injection smoke tests on the CLI, a peak-RSS scale
-# guard on C7552 SSTA, ThreadSanitizer on the execution engine, STA and
-# SSTA, AddressSanitizer over the full tier-1 suite, and
+# guard on C7552 SSTA, ThreadSanitizer on the execution engine, STA,
+# SSTA, ECO pricing and the cold setup's fan-out, AddressSanitizer over
+# the full tier-1 suite, and
 # UndefinedBehaviorSanitizer over the full suite.
 #
 #   scripts/check.sh            full check (build + ctest + faults + sanitizers)
@@ -582,7 +583,7 @@ if [[ "$FAST" == "1" ]]; then
   exit 0
 fi
 
-echo "== TSan: engine_test + sta_test + server_test + ssta_test + opt_test under -fsanitize=thread =="
+echo "== TSan: engine_test + sta_test + server_test + ssta_test + opt_test + setup_test + robustness_test under -fsanitize=thread =="
 # sta_test drives the compiled kernel through run_parallel at several
 # thread counts, extending race coverage to the flat-arena evaluate path;
 # server_test covers the daemon's lane pool, watchdog, and the JobQueue
@@ -590,10 +591,15 @@ echo "== TSan: engine_test + sta_test + server_test + ssta_test + opt_test under
 # dense-oracle suites cover SSTA's split levels and the serial
 # between-level release of coefficient lists; the opt_test WhatIf/Eco
 # suites cover ECO pricing, whose parallel_for chunks each patch and roll
-# back their own mirror of the committed timing.
+# back their own mirror of the committed timing; the setup_test
+# ConcurrentSimulator/SetupFanout suites and robustness_test's pooled
+# OpcDegradeTest cases cover the cold setup's fan-out: concurrent image()
+# calls racing to create the TCC and scan basis and to fill basis rows,
+# per-master result slots resolved after the join, and the serial redo of
+# solves a task-wrapper fault skipped.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j --target engine_test sta_test server_test ssta_test \
-  opt_test
+  opt_test setup_test robustness_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
@@ -601,6 +607,10 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ssta_test \
   --gtest_filter='SstaParallel.*:*SstaDense.*'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/opt_test \
   --gtest_filter='*WhatIf*:Eco.*'
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/setup_test \
+  --gtest_filter='ConcurrentSimulator.*:SetupFanout.*'
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/robustness_test \
+  --gtest_filter='OpcDegradeTest.*WithAnyPool:OpcDegradeTest.TaskFaults*:OpcDegradeTest.ColdFlow*'
 
 echo "== ASan: full tier-1 suite + kernel bench smoke under -fsanitize=address =="
 cmake -B build-asan -S . -DSVA_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -1,5 +1,8 @@
 #include "cell/library_opc.hpp"
 
+#include <exception>
+
+#include "engine/thread_pool.hpp"
 #include "opc/cutline.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -76,22 +79,43 @@ LibraryOpcCellResult library_opc_fallback(const CellMaster& master) {
 
 std::vector<LibraryOpcCellResult> library_opc_all(
     const std::vector<CellMaster>& masters, const OpcEngine& engine,
-    const LibraryOpcConfig& config, FaultPolicy policy) {
-  std::vector<LibraryOpcCellResult> out;
-  out.reserve(masters.size());
-  for (const CellMaster& m : masters) {
-    if (policy == FaultPolicy::Strict) {
-      out.push_back(library_opc_cell(m, engine, config));
-      continue;
-    }
+    const LibraryOpcConfig& config, FaultPolicy policy, ThreadPool* pool) {
+  std::vector<LibraryOpcCellResult> out(masters.size());
+  std::vector<std::exception_ptr> failure(masters.size());
+  std::vector<char> solved(masters.size(), 0);
+  auto solve = [&](std::size_t i) {
     try {
-      out.push_back(library_opc_cell(m, engine, config));
+      out[i] = library_opc_cell(masters[i], engine, config);
+    } catch (...) {
+      failure[i] = std::current_exception();
+    }
+    solved[i] = 1;
+  };
+  // No pool: a workerless one, whose parallel_for is the plain loop.
+  ThreadPool inline_pool(0);
+  try {
+    (pool != nullptr ? *pool : inline_pool)
+        .parallel_for(0, masters.size(), solve, /*grain=*/1);
+  } catch (...) {
+    // solve() records its own failures, so this is a fault of the pool's
+    // task wrapper, which skipped the solves of its task.  Strict reports
+    // it; Degrade redoes those solves here.
+    if (policy == FaultPolicy::Strict) throw;
+    for (std::size_t i = 0; i < masters.size(); ++i)
+      if (!solved[i]) solve(i);
+  }
+
+  for (std::size_t i = 0; i < masters.size(); ++i) {
+    if (!failure[i]) continue;
+    if (policy == FaultPolicy::Strict) std::rethrow_exception(failure[i]);
+    try {
+      std::rethrow_exception(failure[i]);
     } catch (const std::exception& e) {
-      out.push_back(library_opc_fallback(m));
+      out[i] = library_opc_fallback(masters[i]);
       MetricsRegistry::global().counter("opc.cells_degraded").add();
       diag_warn("opc", "opc_cell_degraded",
-                "cell " + m.name() + " OPC solve failed (" + e.what() +
-                    "); using uniform drawn-CD fallback");
+                "cell " + masters[i].name() + " OPC solve failed (" +
+                    e.what() + "); using uniform drawn-CD fallback");
     }
   }
   return out;

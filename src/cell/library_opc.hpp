@@ -18,6 +18,8 @@
 
 namespace sva {
 
+class ThreadPool;
+
 struct LibraryOpcConfig {
   /// Clear gap between the cell outline and the dummy poly on each side.
   /// Emulates the typical abutted-neighbour boundary poly distance.
@@ -63,11 +65,20 @@ LibraryOpcCellResult library_opc_fallback(const CellMaster& master);
 /// with the library.  Under FaultPolicy::Degrade a failing cell solve is
 /// isolated: it yields library_opc_fallback(master), a warning diagnostic
 /// (code "opc_cell_degraded"), and the "opc.cells_degraded" metric, and
-/// the remaining masters still solve.  Under Strict the first failure
-/// propagates.
+/// the remaining masters still solve.  Under Strict the failure of the
+/// lowest-index failing master propagates.
+///
+/// With a `pool`, the per-master solves run as its tasks (the engine's
+/// simulators are thread-safe).  Failures are resolved after the join, on
+/// the calling thread and in master order, so the results, the order of
+/// the diagnostics and the Strict exception are the same with any pool
+/// or none.  A fault of the pool's own task wrapper (the "engine.task"
+/// failpoint) propagates under Strict; under Degrade the solves it skipped
+/// are redone on the calling thread, so the results are still the serial
+/// ones.
 std::vector<LibraryOpcCellResult> library_opc_all(
     const std::vector<CellMaster>& masters, const OpcEngine& engine,
     const LibraryOpcConfig& config = {},
-    FaultPolicy policy = FaultPolicy::Strict);
+    FaultPolicy policy = FaultPolicy::Strict, ThreadPool* pool = nullptr);
 
 }  // namespace sva

@@ -5,6 +5,10 @@
 
 #include <algorithm>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -71,22 +75,62 @@ SvaFlow::SvaFlow(const FlowConfig& config)
       seconds_since(constructed_at_));
 }
 
+std::size_t SvaFlow::setup_threads() const {
+  if (setup_from_cache_) return 0;
+  return std::min({ThreadPool::default_thread_count(), kMaxSetupThreads,
+                   library_.size() + config_.table_spacings.size()});
+}
+
 void SvaFlow::compute_setup() {
-  const LithoModels litho(config_);
-  const auto t0 = std::chrono::steady_clock::now();
-  log_info("flow: library OPC of ", library_.size(), " masters");
-  library_opc_ = library_opc_all(library_.masters(), litho.engine(),
-                                 config_.library_opc, config_.fault_policy);
+  {
+    const LithoModels litho(config_);
+    const auto t0 = std::chrono::steady_clock::now();
+    // Every per-master OPC solve and every per-spacing pitch solve is
+    // independent, so both loops fan out on one transient pool: a pool task
+    // runs the pitch loop while this thread runs library OPC's, and every
+    // thread helps with both loops' solves, so the pitch solves fill the
+    // tail of the OPC ones.  A warm start never gets here and spawns no
+    // thread.
+    ThreadPool pool(setup_threads() - 1);
+    log_info("flow: library OPC of ", library_.size(), " masters and "
+             "post-OPC pitch characterization (",
+             config_.table_spacings.size(), " spacings) on ",
+             pool.thread_count() + 1, " threads");
+    auto characterize_pitch = [&](ThreadPool* on) {
+      return characterize_post_opc_pitch(
+          litho.engine(), config_.cell_tech.gate_length,
+          config_.table_spacings, /*array_lines=*/7, on);
+    };
+    TaskGroup pitch(pool);
+    pitch.run([&] { pitch_points_ = characterize_pitch(&pool); });
+    // A library-OPC failure propagates first; ~TaskGroup still joins the
+    // pitch task before the pool goes away.
+    library_opc_ = library_opc_all(library_.masters(), litho.engine(),
+                                   config_.library_opc, config_.fault_policy,
+                                   &pool);
+    try {
+      pitch.wait();
+    } catch (...) {
+      // The pitch solves have no fallback, but a fault of the pool's task
+      // wrapper is no fault of theirs: under Degrade they are redone here,
+      // and a failure of the serial solve propagates as it always did.
+      if (config_.fault_policy == FaultPolicy::Strict) throw;
+      pitch_points_ = characterize_pitch(nullptr);
+    }
+    setup_opc_seconds_ = seconds_since(t0);
+  }
+#ifdef __GLIBC__
+  // The pool's workers allocated in malloc arenas of their own, which
+  // outlive them and are handed to later threads (a job pool's).  Return
+  // their free pages now, or each arena keeps its share of freed setup
+  // and job memory resident and the process's peak RSS grows with it.
+  malloc_trim(0);
+#endif
   setup_degraded_ = std::any_of(
       library_opc_.begin(), library_opc_.end(),
       [](const LibraryOpcCellResult& r) { return r.degraded; });
   if (setup_degraded_)
     MetricsRegistry::global().counter("flow.setup_degraded").add();
-  log_info("flow: post-OPC pitch characterization (",
-           config_.table_spacings.size(), " spacings)");
-  pitch_points_ = characterize_post_opc_pitch(
-      litho.engine(), config_.cell_tech.gate_length, config_.table_spacings);
-  setup_opc_seconds_ = seconds_since(t0);
 }
 
 std::uint64_t SvaFlow::setup_content_hash() const {

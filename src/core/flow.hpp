@@ -178,6 +178,17 @@ class SvaFlow {
   /// timed as the `flow.setup` metric.
   double setup_opc_seconds() const { return setup_opc_seconds_; }
 
+  /// Threads the cold setup's OPC solves ran on (the calling thread plus
+  /// a transient pool), i.e. what setup_opc_seconds() is the wall time
+  /// over; 0 after a warm start.  The hardware thread count, capped at
+  /// kMaxSetupThreads and at the number of solves.
+  std::size_t setup_threads() const;
+
+  /// Most threads a cold setup fans out on.  Its ~20 solves are few and
+  /// uneven, so more threads barely shorten it, while each pool worker
+  /// leaves a malloc arena behind that later threads keep memory in.
+  static constexpr std::size_t kMaxSetupThreads = 4;
+
   /// True when construction restored the OPC setup products from a
   /// persistent snapshot instead of recomputing them.
   bool setup_from_cache() const { return setup_from_cache_; }
@@ -235,7 +246,8 @@ class SvaFlow {
   /// both empty) when the snapshot is missing, stale, or corrupt.
   bool try_load_setup(const std::string& dir);
   void save_setup(const std::string& dir) const;
-  /// Library OPC + pitch characterization from scratch (the cold branch).
+  /// Library OPC + pitch characterization from scratch (the cold branch),
+  /// fanned out on a transient pool.
   void compute_setup();
 
   /// Construction start, for the flow.setup timer; declared first so it

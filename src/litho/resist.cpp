@@ -7,9 +7,10 @@
 namespace sva {
 namespace {
 
-// Coarse scan step when hunting for the threshold crossing, and the
-// bisection tolerance on the located edge.
-constexpr Nm kScanStep = 1.0;
+// Coarse scan step when hunting for the threshold crossing (the image's
+// ScanBasis tabulates exactly these positions), and the bisection
+// tolerance on the located edge.
+constexpr Nm kScanStep = ScanBasis::kStep;
 constexpr Nm kEdgeTolerance = 1e-3;
 
 // Bisect a crossing of intensity == th between x_in (dark side) and x_out
@@ -36,7 +37,9 @@ std::optional<PrintedLine> ThresholdResist::printed_line(
     const ImageProfile& image, Nm x_center, double dose) const {
   SVA_REQUIRE(dose > 0.0);
   const double th = threshold_ / dose;
-  if (image.intensity(x_center) >= th) return std::nullopt;
+  // Scan positions are numbered outward from the centre (step 0); at the
+  // period's own centre they are the image's tabulated ScanBasis rows.
+  if (image.scan_intensity(0, x_center) >= th) return std::nullopt;
 
   const Nm half_period = image.period() / 2.0;
 
@@ -44,10 +47,11 @@ std::optional<PrintedLine> ThresholdResist::printed_line(
   Nm right = x_center;
   {
     Nm x = x_center;
+    int step = 0;
     bool found = false;
     while (x - x_center < half_period) {
       const Nm next = x + kScanStep;
-      if (image.intensity(next) >= th) {
+      if (image.scan_intensity(++step, next) >= th) {
         right = bisect_edge(image, th, x, next);
         found = true;
         break;
@@ -60,10 +64,11 @@ std::optional<PrintedLine> ThresholdResist::printed_line(
   Nm left = x_center;
   {
     Nm x = x_center;
+    int step = 0;
     bool found = false;
     while (x_center - x < half_period) {
       const Nm next = x - kScanStep;
-      if (image.intensity(next) >= th) {
+      if (image.scan_intensity(--step, next) >= th) {
         left = bisect_edge(image, th, x, next);
         found = true;
         break;

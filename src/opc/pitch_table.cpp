@@ -2,22 +2,23 @@
 
 #include <algorithm>
 
+#include "engine/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace sva {
 
 std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
     const OpcEngine& engine, Nm linewidth, const std::vector<Nm>& spacings,
-    std::size_t array_lines) {
+    std::size_t array_lines, ThreadPool* pool) {
   SVA_REQUIRE(linewidth > 0.0);
   SVA_REQUIRE(!spacings.empty());
   SVA_REQUIRE_MSG(array_lines >= 3 && array_lines % 2 == 1,
                   "need an odd number of array lines >= 3");
+  for (Nm spacing : spacings) SVA_REQUIRE(spacing > 0.0);
 
-  std::vector<PostOpcPitchPoint> out;
-  out.reserve(spacings.size());
-  for (Nm spacing : spacings) {
-    SVA_REQUIRE(spacing > 0.0);
+  std::vector<PostOpcPitchPoint> out(spacings.size());
+  auto solve = [&](std::size_t i) {
+    const Nm spacing = spacings[i];
     const Nm pitch = linewidth + spacing;
     OpcProblem problem;
     for (std::size_t k = 0; k < array_lines; ++k) {
@@ -31,12 +32,15 @@ std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
     }
     const OpcResult result = engine.correct(problem);
     const auto& center = result.by_tag(static_cast<long>(array_lines / 2));
-    PostOpcPitchPoint point;
+    PostOpcPitchPoint& point = out[i];
     point.spacing = spacing;
     point.printed_cd = center.printed_cd;
     point.mask_bias = center.line.mask_width() - linewidth;
-    out.push_back(point);
-  }
+  };
+  // No pool: a workerless one, whose parallel_for is the plain loop.
+  ThreadPool inline_pool(0);
+  (pool != nullptr ? *pool : inline_pool)
+      .parallel_for(0, spacings.size(), solve, /*grain=*/1);
   return out;
 }
 

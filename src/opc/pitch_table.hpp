@@ -19,6 +19,8 @@
 
 namespace sva {
 
+class ThreadPool;
+
 struct PostOpcPitchPoint {
   Nm spacing = 0.0;     ///< one-sided clear spacing of the test grating
   Nm printed_cd = 0.0;  ///< centre-line CD after OPC (0 = print failure)
@@ -28,9 +30,11 @@ struct PostOpcPitchPoint {
 /// Run the OPC flow on a line array per spacing and measure the centre CD.
 /// `array_lines` is the number of parallel lines per test layout (odd;
 /// default 7 gives three shielding lines each side of the measured one).
+/// With a `pool`, the per-spacing solves run as its tasks; the points are
+/// the same with any pool or none.
 std::vector<PostOpcPitchPoint> characterize_post_opc_pitch(
     const OpcEngine& engine, Nm linewidth, const std::vector<Nm>& spacings,
-    std::size_t array_lines = 7);
+    std::size_t array_lines = 7, ThreadPool* pool = nullptr);
 
 /// Spacing -> printed-CD lookup table from the characterization points.
 /// Throws if any point failed to print.

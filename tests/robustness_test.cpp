@@ -548,6 +548,69 @@ TEST_F(OpcDegradeTest, KeyedProbClassifiesCellsDeterministically) {
   }
 }
 
+TEST_F(OpcDegradeTest, FaultsResolveInMasterOrderWithAnyPool) {
+  // Keyed prob(): the same masters fail on every schedule.  With a pool
+  // the solves finish in any order, but the fallbacks, the metric and the
+  // diagnostics are resolved after the join in master order, so results
+  // and diagnostic order equal the serial run's.
+  FailPoints::set("opc.cell_solve", "prob(0.5)");
+  const std::vector<LibraryOpcCellResult> serial = library_opc_all(
+      test_library().masters(), test_engine(), {}, FaultPolicy::Degrade);
+  const std::vector<Diagnostic> serial_diags =
+      Diagnostics::global().snapshot();
+  const std::size_t degraded = static_cast<std::size_t>(
+      std::count_if(serial.begin(), serial.end(),
+                    [](const LibraryOpcCellResult& r) { return r.degraded; }));
+  ASSERT_GT(degraded, 0u);
+  ASSERT_LT(degraded, serial.size());
+  ASSERT_EQ(serial_diags.size(), degraded);
+  // Master order: the d-th diagnostic names the d-th degraded master.
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    if (!serial[i].degraded) continue;
+    EXPECT_EQ(serial_diags[d].message.rfind(
+                  "cell " + test_library().masters()[i].name() + " ", 0),
+              0u)
+        << serial_diags[d].message;
+    ++d;
+  }
+
+  for (std::size_t threads : {0u, 1u, 2u, 8u}) {
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    Diagnostics::global().reset();
+    ThreadPool pool(threads);
+    const std::vector<LibraryOpcCellResult> pooled =
+        library_opc_all(test_library().masters(), test_engine(), {},
+                        FaultPolicy::Degrade, &pool);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(pooled[i].degraded, serial[i].degraded) << "cell " << i;
+      EXPECT_EQ(pooled[i].device_cd, serial[i].device_cd) << "cell " << i;
+      EXPECT_EQ(pooled[i].device_mask_width, serial[i].device_mask_width);
+      EXPECT_EQ(pooled[i].images_simulated, serial[i].images_simulated);
+    }
+    const std::vector<Diagnostic> diags = Diagnostics::global().snapshot();
+    ASSERT_EQ(diags.size(), serial_diags.size());
+    for (std::size_t i = 0; i < diags.size(); ++i) {
+      EXPECT_EQ(diags[i].code, "opc_cell_degraded");
+      EXPECT_EQ(diags[i].message, serial_diags[i].message) << "diag " << i;
+    }
+  }
+}
+
+TEST_F(OpcDegradeTest, StrictPolicyPropagatesTheFaultWithAnyPool) {
+  FailPoints::set("opc.cell_solve", "prob(0.5)");
+  for (std::size_t threads : {0u, 1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_THROW(library_opc_all(test_library().masters(), test_engine(), {},
+                                 FaultPolicy::Strict, &pool),
+                 FailPointError)
+        << "pool threads " << threads;
+  }
+  // No diagnostics: Strict reports by throwing, never by degrading.
+  EXPECT_EQ(Diagnostics::global().count_code("opc_cell_degraded"), 0u);
+}
+
 TEST_F(OpcDegradeTest, DegradedFlowSetupIsNeverPersisted) {
   const std::string dir = fresh_dir("degradedsetup");
   FailPoints::set("opc.cell_solve", "throw");
@@ -571,6 +634,77 @@ TEST_F(OpcDegradeTest, StrictFlowConstructionThrows) {
   FlowConfig cfg;
   cfg.fault_policy = FaultPolicy::Strict;
   EXPECT_THROW(SvaFlow{cfg}, FailPointError);
+}
+
+void expect_same_opc(const std::vector<LibraryOpcCellResult>& got,
+                     const std::vector<LibraryOpcCellResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_FALSE(got[i].degraded) << "cell " << i;
+    EXPECT_EQ(got[i].device_cd, want[i].device_cd) << "cell " << i;
+    EXPECT_EQ(got[i].device_mask_width, want[i].device_mask_width);
+    EXPECT_EQ(got[i].images_simulated, want[i].images_simulated);
+  }
+}
+
+TEST_F(OpcDegradeTest, TaskFaultsRedoTheSkippedSolvesUnderDegrade) {
+  // A fault of the pool's task wrapper skips the solves of its task, none
+  // of which failed.  Degrade redoes them on the calling thread, so the
+  // results are the fault-free ones and no cell degrades.
+  const std::vector<LibraryOpcCellResult> serial = library_opc_all(
+      test_library().masters(), test_engine(), {}, FaultPolicy::Degrade);
+  for (const char* spec : {"throw", "prob(0.5)"}) {
+    FailPoints::set("engine.task", spec);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(spec) + ", pool threads " +
+                   std::to_string(threads));
+      ThreadPool pool(threads);
+      expect_same_opc(library_opc_all(test_library().masters(), test_engine(),
+                                      {}, FaultPolicy::Degrade, &pool),
+                      serial);
+    }
+    EXPECT_GT(FailPoints::fired_count("engine.task"), 0u) << spec;
+  }
+  EXPECT_EQ(Diagnostics::global().count_code("opc_cell_degraded"), 0u);
+}
+
+TEST_F(OpcDegradeTest, TaskFaultsPropagateUnderStrict) {
+  FailPoints::set("engine.task", "throw");
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_THROW(library_opc_all(test_library().masters(), test_engine(), {},
+                                 FaultPolicy::Strict, &pool),
+                 FailPointError)
+        << "pool threads " << threads;
+  }
+}
+
+TEST_F(OpcDegradeTest, ColdFlowSurvivesTaskFaultsUnderDegrade) {
+  const SvaFlow reference{FlowConfig{}};
+  FailPoints::set("engine.task", "throw");
+  // Every task of the setup's pool throws -- the pitch task and each OPC
+  // or pitch solve task -- and the default Degrade policy still yields the
+  // fault-free setup products.
+  const SvaFlow flow{FlowConfig{}};
+  ASSERT_FALSE(flow.setup_from_cache());
+  EXPECT_FALSE(flow.setup_degraded());
+  expect_same_opc(flow.library_opc_results(), reference.library_opc_results());
+  ASSERT_EQ(flow.pitch_points().size(), reference.pitch_points().size());
+  for (std::size_t i = 0; i < flow.pitch_points().size(); ++i) {
+    EXPECT_EQ(flow.pitch_points()[i].spacing,
+              reference.pitch_points()[i].spacing);
+    EXPECT_EQ(flow.pitch_points()[i].printed_cd,
+              reference.pitch_points()[i].printed_cd);
+    EXPECT_EQ(flow.pitch_points()[i].mask_bias,
+              reference.pitch_points()[i].mask_bias);
+  }
+  EXPECT_EQ(Diagnostics::global().count_code("opc_cell_degraded"), 0u);
+  // The pitch loop is a task even on a workerless pool, so the fault is
+  // hit on any host.
+  EXPECT_GT(FailPoints::fired_count("engine.task"), 0u);
+  FlowConfig strict;
+  strict.fault_policy = FaultPolicy::Strict;
+  EXPECT_THROW(SvaFlow{strict}, FailPointError);
 }
 
 // ------------------------------------------------- batch fault isolation
