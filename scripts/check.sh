@@ -587,16 +587,17 @@ echo "== TSan: engine_test + sta_test + server_test + ssta_test + opt_test + set
 # sta_test drives the compiled kernel through run_parallel at several
 # thread counts, extending race coverage to the flat-arena evaluate path;
 # server_test covers the daemon's lane pool, watchdog, and the JobQueue
-# close/drain races under concurrent pushers; the ssta_test parallel and
-# dense-oracle suites cover SSTA's split levels and the serial
-# between-level release of coefficient lists; the opt_test WhatIf/Eco
-# suites cover ECO pricing, whose parallel_for chunks each patch and roll
-# back their own mirror of the committed timing; the setup_test
-# ConcurrentSimulator/SetupFanout suites and robustness_test's pooled
-# OpcDegradeTest cases cover the cold setup's fan-out: concurrent image()
-# calls racing to create the TCC and scan basis and to fill basis rows,
-# per-master result slots resolved after the join, and the serial redo of
-# solves a task-wrapper fault skipped.
+# close/drain races under concurrent pushers; the ssta_test parallel,
+# dense-oracle and scratch-reuse suites cover SSTA's split levels, the
+# serial between-level release of coefficient lists and the per-thread
+# kernel scratch pool workers carry from one engine to the next; the
+# opt_test WhatIf/Eco suites cover ECO pricing, whose parallel_for chunks
+# each patch and roll back their own mirror of the committed timing; the
+# setup_test ConcurrentSimulator/SetupFanout suites and robustness_test's
+# pooled OpcDegradeTest cases cover the cold setup's fan-out: concurrent
+# image() calls racing to create the TCC and scan basis and to fill basis
+# rows, per-master result slots resolved after the join, and the serial
+# redo of solves a task-wrapper fault skipped.
 cmake -B build-tsan -S . -DSVA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j --target engine_test sta_test server_test ssta_test \
   opt_test setup_test robustness_test
@@ -604,7 +605,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/engine_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sta_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ssta_test \
-  --gtest_filter='SstaParallel.*:*SstaDense.*'
+  --gtest_filter='SstaParallel.*:*SstaDense.*:SstaScratch.*'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/opt_test \
   --gtest_filter='*WhatIf*:Eco.*'
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/setup_test \

@@ -17,27 +17,25 @@ std::string series_to_csv(const std::vector<Series>& series) {
   return out;
 }
 
-namespace {
-
-std::string csv_cell(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string quoted = "\"";
-  for (char c : cell) {
-    if (c == '"') quoted += '"';
-    quoted += c;
+void append_csv_cell(std::string& out, std::string_view cell) {
+  if (cell.find_first_of(",\"\n") == std::string_view::npos) {
+    out += cell;
+    return;
   }
-  quoted += '"';
-  return quoted;
+  out += '"';
+  for (char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
 }
-
-}  // namespace
 
 std::string rows_to_csv(const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows) {
   std::string out;
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (i > 0) out += ',';
-    out += csv_cell(header[i]);
+    append_csv_cell(out, header[i]);
   }
   out += '\n';
   for (const auto& row : rows) {
@@ -45,7 +43,7 @@ std::string rows_to_csv(const std::vector<std::string>& header,
                     "CSV row width must match the header");
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += ',';
-      out += csv_cell(row[i]);
+      append_csv_cell(out, row[i]);
     }
     out += '\n';
   }

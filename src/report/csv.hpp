@@ -3,6 +3,7 @@
 // external tooling.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/ascii_plot.hpp"
@@ -18,6 +19,10 @@ std::string series_to_csv(const std::vector<Series>& series);
 /// newlines are quoted (RFC 4180 style).
 std::string rows_to_csv(const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows);
+
+/// Append one CSV cell to `out`, quoted under the same rule rows_to_csv
+/// applies.  For writers that stream rows into one reserved string.
+void append_csv_cell(std::string& out, std::string_view cell);
 
 /// Write text to a file, creating/truncating it.  Throws sva::Error on
 /// failure.  Benches use this to drop CSV artifacts next to stdout tables.

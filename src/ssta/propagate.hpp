@@ -28,7 +28,10 @@
 // and only until its last reader's level has run: memory follows the
 // live frontier of cones, not nets x residuals.  Slots outside a support
 // hold exactly 0, so skipping them leaves every ascending-slot sum
-// bit-identical to a dense per-net vector.
+// bit-identical to a dense per-net vector.  A gate builds its support as
+// a bitmap union over the residual space and addresses each fanin's
+// entries through a slot->position map, so its inner loops carry no
+// data-dependent branch (DESIGN.md section 13).
 //
 // The engine mirrors Sta's levelized structure, so run_parallel() is
 // bit-identical to run() at any thread count: each gate reads only
@@ -149,9 +152,10 @@ class SstaEngine {
   /// Dimensionless canonical factor per (gate, master-arc), mirroring the
   /// MatrixScale layout.
   std::vector<std::vector<CanonicalDelay>> factors_;
-  Sta sta_;           ///< graph/levelization + deterministic base engine
+  /// Graph, levelization and deterministic base engine; its level
+  /// buckets are the partition propagate() walks.
+  Sta sta_;
   StaResult base_;    ///< run at the mean factors (slews, operating points)
-  std::vector<std::vector<std::size_t>> levels_;
   /// Residual index space: res_offset_[g] + arc_index addresses the CD
   /// residual of one (gate, master-arc); arc_total_ + g addresses the
   /// gate's max-noise slot.

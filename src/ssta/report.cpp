@@ -1,7 +1,10 @@
 #include "ssta/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <string_view>
+#include <system_error>
+#include <vector>
 
 #include "report/csv.hpp"
 #include "util/strings.hpp"
@@ -13,42 +16,81 @@ namespace {
 
 std::string num(double v, int decimals) { return fmt(v, decimals); }
 
+/// Append `v` in fixed notation: the bytes fmt(v, decimals) returns
+/// (fixed to_chars is specified as printf's %.*f in the C locale), without
+/// a string per number.  A number too wide for fmt's 63 characters goes
+/// through fmt itself, truncation included.
+void append_fixed(std::string& out, double v, int decimals) {
+  char buf[63];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::fixed, decimals);
+  if (ec == std::errc())
+    out.append(buf, end);
+  else
+    out += fmt(v, decimals);
+}
+
 }  // namespace
 
 std::string criticality_csv(const Netlist& netlist, const SstaResult& ssta,
                             const CriticalityResult& crit) {
-  const std::vector<std::string> header = {
-      "kind",        "gate", "pin", "net", "criticality", "arrival_mean_ps",
-      "arrival_sigma_ps"};
-  std::vector<std::vector<std::string>> rows;
+  // Input-pin names, looked up once per master.
+  std::vector<std::vector<std::string>> pins(netlist.library().size());
+  for (std::size_t ci = 0; ci < pins.size(); ++ci)
+    pins[ci] = netlist.input_pins_of(ci);
+
+  std::size_t rows = ssta.po_nets.size() + netlist.primary_input_count();
+  for (const GateInst& gate : netlist.gates()) rows += gate.fanin_nets.size();
+  std::string out;
+  out.reserve(64 + 56 * rows);
+  out += "kind,gate,pin,net,criticality,arrival_mean_ps,arrival_sigma_ps\n";
+  // One row: kind,gate,pin,net,criticality, then the arrival columns.
+  const auto start_row = [&out](std::string_view kind, std::string_view gate,
+                                std::string_view pin, std::string_view net,
+                                double criticality) {
+    out += kind;
+    out += ',';
+    append_csv_cell(out, gate);
+    out += ',';
+    append_csv_cell(out, pin);
+    out += ',';
+    append_csv_cell(out, net);
+    out += ',';
+    append_fixed(out, criticality, 6);
+    out += ',';
+  };
+  const auto end_row = [&out](const CanonicalDelay& arrival) {
+    append_fixed(out, arrival.mean_ps, 3);
+    out += ',';
+    append_fixed(out, arrival.sigma_ps(), 3);
+    out += '\n';
+  };
 
   for (std::size_t i = 0; i < ssta.po_nets.size(); ++i) {
     const std::size_t ni = ssta.po_nets[i];
-    rows.push_back({"endpoint", "", "", netlist.nets()[ni].name,
-                    num(ssta.po_tightness[i], 6),
-                    num(ssta.arrival[ni].mean_ps, 3),
-                    num(ssta.arrival[ni].sigma_ps(), 3)});
+    start_row("endpoint", "", "", netlist.nets()[ni].name,
+              ssta.po_tightness[i]);
+    end_row(ssta.arrival[ni]);
   }
 
   for (std::size_t gi = 0; gi < netlist.gates().size(); ++gi) {
     const GateInst& gate = netlist.gates()[gi];
-    const auto pins = netlist.input_pins_of(gate.cell_index);
+    const std::vector<std::string>& gate_pins = pins[gate.cell_index];
     for (std::size_t pi = 0; pi < gate.fanin_nets.size(); ++pi) {
       const std::size_t in_net = gate.fanin_nets[pi];
-      rows.push_back({"arc", gate.name, pins[pi], netlist.nets()[in_net].name,
-                      num(crit.arc_criticality[gi][pi], 6),
-                      num(ssta.arrival[in_net].mean_ps, 3),
-                      num(ssta.arrival[in_net].sigma_ps(), 3)});
+      start_row("arc", gate.name, gate_pins[pi], netlist.nets()[in_net].name,
+                crit.arc_criticality[gi][pi]);
+      end_row(ssta.arrival[in_net]);
     }
   }
 
   for (std::size_t ni = 0; ni < netlist.nets().size(); ++ni) {
     if (!netlist.nets()[ni].is_primary_input()) continue;
-    rows.push_back({"input", "", "", netlist.nets()[ni].name,
-                    num(crit.net_criticality[ni], 6), "0.000", "0.000"});
+    start_row("input", "", "", netlist.nets()[ni].name,
+              crit.net_criticality[ni]);
+    out += "0.000,0.000\n";
   }
-
-  return rows_to_csv(header, rows);
+  return out;
 }
 
 std::string ssta_text_report(const Netlist& netlist, const SstaResult& ssta,

@@ -178,6 +178,14 @@ class Sta {
 
   const StaConfig& config() const { return config_; }
 
+  /// Gates bucketed by logic level, each bucket in topological-order
+  /// sequence: the partition run_parallel() splits across the pool.
+  const std::vector<std::vector<std::size_t>>& levels() const {
+    return levels_;
+  }
+  /// Logic level of each gate (index into levels()).
+  const std::vector<std::size_t>& gate_levels() const { return gate_level_; }
+
   /// The compiled flat program (compile stats for benches/reports).
   const CompiledTiming& compiled() const { return *compiled_; }
 

@@ -26,7 +26,9 @@
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/stats.hpp"
 
 namespace sva {
@@ -273,6 +275,39 @@ INSTANTIATE_TEST_SUITE_P(Iscas85, SstaDense,
                            return std::string(info.param);
                          });
 
+/// Every thread keeps its gate-kernel scratch (support bitmap, slot
+/// position map, candidate row) across engines, sized by the largest
+/// residual space it has seen.  A large circuit, then a small one, then a
+/// mid-sized one on the same threads -- the calling thread and a pool of
+/// 2 -- must each still match the dense oracle bit for bit, and the live
+/// coefficient peak must stay where the merge-walk kernel had it.
+TEST(SstaScratch, ReuseAcrossEnginesIsBitIdentical) {
+  struct Case {
+    const char* circuit;
+    std::uint64_t coef_entries_peak;
+  };
+  const Case cases[] = {{"C7552", 1610055}, {"C432", 5011}, {"C1908", 113046}};
+  const Counter& peak =
+      MetricsRegistry::global().counter("ssta.coef_entries_peak");
+  ThreadPool pool(2);
+  for (const Case& c : cases) {
+    const Netlist nl = flow().make_benchmark(c.circuit);
+    const Placement placement = flow().make_placement(nl);
+    const std::vector<VersionKey> versions = flow().bind_versions(placement);
+    const SstaEngine engine(nl, flow().characterized(),
+                            flow().context_library(), versions,
+                            default_model(), flow().config().sta,
+                            &flow().context_cache());
+    const SstaResult dense =
+        dense_ssta(engine, flow().characterized(), flow().config().sta);
+    const std::uint64_t before = peak.value();
+    EXPECT_TRUE(bit_identical(engine.run(), dense)) << c.circuit << " serial";
+    EXPECT_EQ(peak.value() - before, c.coef_entries_peak) << c.circuit;
+    EXPECT_TRUE(bit_identical(engine.run_parallel(pool), dense))
+        << c.circuit << " 2 threads";
+  }
+}
+
 // ------------------------------------------------------------ criticality
 
 TEST(Criticality, ProbabilityMassIsConserved) {
@@ -371,6 +406,30 @@ TEST_F(SstaJobTest, ProducesReportAndArtifact) {
   EXPECT_EQ(result.artifacts[0].path, "ssta_criticality.csv");
   EXPECT_NE(result.artifacts[0].bytes.find("kind,gate,pin,net"),
             std::string::npos);
+}
+
+/// The rendered bytes of two ssta jobs -- criticality CSV then text
+/// report -- as FNV-1a digests, so report rendering can change how it
+/// builds the text but not one byte of it.
+TEST(SstaReport, RenderedBytesPinned) {
+  struct Case {
+    const char* circuit;
+    double global_share;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {{"C432", 0.0, 0xb7a5a69d3e2c447dull},
+                          {"C880", 0.3, 0xe2202b66b99e3960ull}};
+  ThreadPool pool(2);
+  for (const Case& c : cases) {
+    SstaJobSpec spec;
+    spec.circuit = c.circuit;
+    spec.global_share = c.global_share;
+    const JobResult result = run_ssta_job(flow(), pool, spec, nullptr);
+    ASSERT_EQ(result.exit_code, kExitOk) << result.error;
+    ASSERT_EQ(result.artifacts.size(), 1u);
+    const std::string bytes = result.artifacts[0].bytes + result.output;
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), c.digest) << c.circuit;
+  }
 }
 
 }  // namespace
