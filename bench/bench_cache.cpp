@@ -190,7 +190,7 @@ int main() {
 
       const auto t1 = std::chrono::steady_clock::now();
       const SvaFlow warm{config_with_cache(cache_dir)};
-      SVA_ASSERT(warm.try_load_context_cache(dir));
+      SVA_ASSERT(warm.context_cache().try_load(dir));
       const std::uint64_t warm_total =
           ns_of(t1) + time_fill(warm.context_cache(), slots, bins);
       warm_ns = std::min(warm_ns, warm_total);

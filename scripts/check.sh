@@ -65,6 +65,49 @@ if ! diff <(echo "$cold_out" | strip_variance) \
   exit 1
 fi
 echo "cold and warm analysis tables are identical"
+setup_hits() { awk '/flow\.setup_disk_hits/ {print $2}'; }
+if [[ "$(echo "$warm_out" | setup_hits)" != "1" ]]; then
+  echo "FAIL: warm run did not restore the setup snapshot"
+  echo "$warm_out"
+  exit 1
+fi
+
+echo "== persistent cache: snapshots in use survive an age-based cache-gc =="
+# A load refreshes a snapshot's mtime, so a snapshot older than the GC's
+# age limit that a run just loaded is in use and must not be evicted.
+touch -d '40 days ago' "$CACHE_DIR"/setup_*.svac "$CACHE_DIR"/ctx_*.svac
+"$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" >/dev/null
+"$CLI" list --cache-gc --cache-dir "$CACHE_DIR" >/dev/null
+if ! compgen -G "$CACHE_DIR/setup_*.svac" >/dev/null ||
+   ! compgen -G "$CACHE_DIR/ctx_*.svac" >/dev/null; then
+  echo "FAIL: cache-gc evicted a snapshot the previous run loaded"
+  ls -l "$CACHE_DIR"
+  exit 1
+fi
+after_gc_out="$("$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" --metrics)"
+if [[ "$(echo "$after_gc_out" | setup_hits)" != "1" ]]; then
+  echo "FAIL: run after cache-gc did not restore the setup snapshot"
+  echo "$after_gc_out"
+  exit 1
+fi
+echo "aged snapshots survived cache-gc and still warm-start"
+
+echo "== persistent cache: a snapshot of the wrong kind is quarantined once =="
+setup_file="$(echo "$CACHE_DIR"/setup_*.svac)"
+cp "$(echo "$CACHE_DIR"/ctx_*.svac)" "$setup_file"
+swapped_out="$("$CLI" analyze C432 C880 --threads 2 --cache-dir "$CACHE_DIR" --metrics 2>/dev/null)"
+if ! diff <(echo "$cold_out" | strip_variance) \
+          <(echo "$swapped_out" | strip_variance); then
+  echo "FAIL: analysis changed after a slot snapshot replaced the setup snapshot"
+  exit 1
+fi
+quarantined=("$setup_file".corrupt.*)
+if [[ "${#quarantined[@]}" -ne 1 || ! -f "${quarantined[0]}" ]]; then
+  echo "FAIL: expected exactly one quarantined setup snapshot"
+  ls -l "$CACHE_DIR"
+  exit 1
+fi
+echo "wrong-kind setup snapshot quarantined once, table unchanged"
 
 echo "== fault injection: graceful degradation under --keep-going =="
 # Break the snapshot loads AND every per-cell OPC solve: the run must

@@ -1,7 +1,6 @@
 #include "core/flow.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include <algorithm>
 
@@ -9,17 +8,17 @@
 #include <malloc.h>
 #endif
 
-#include "util/diagnostics.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
-#include "util/filelock.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/retry.hpp"
+#include "util/sealed_file.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {
 namespace {
+
+/// Sealed-file kind of the setup snapshot.
+constexpr char kSetupKind[] = "setup";
 
 double seconds_since(
     const std::chrono::steady_clock::time_point& t0) {
@@ -173,49 +172,17 @@ std::uint64_t SvaFlow::setup_content_hash() const {
 }
 
 std::string SvaFlow::setup_cache_file_path(const std::string& dir) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "setup_%016llx.svac",
-                static_cast<unsigned long long>(setup_content_hash()));
-  return dir + "/" + name;
+  return snapshot_path(dir, "setup", setup_content_hash());
 }
 
 bool SvaFlow::try_load_setup(const std::string& dir) {
-  const std::string path = setup_cache_file_path(dir);
-  std::string bytes;
-  try {
-    bytes = with_retry("flow setup read", RetryPolicy{},
-                       [&] { return read_file_bytes(path); });
-  } catch (const FileMissingError&) {
-    // No snapshot yet: the normal first run, not worth a warning.
-    log_debug("flow: no setup snapshot at ", path);
-    return false;
-  } catch (const Error& e) {
-    // Transport failure that survived the retries; the file itself may be
-    // intact, so leave it in place for the next run.
-    diag_warn("flow", "setup_read_failed",
-              std::string("setup cold start: ") + e.what());
-    return false;
-  }
-
-  // Parse and validate everything -- including a checksum of the payload
-  // bytes -- before committing, so a corrupt snapshot can never yield
-  // wrong characterization data.
+  static constexpr SnapshotReporting kReporting = {
+      "setup snapshot", "flow", "setup_read_failed", "setup_quarantined",
+      "flow.setup_quarantined", "flow.setup_load"};
   std::vector<LibraryOpcCellResult> opc;
   std::vector<PostOpcPitchPoint> points;
-  try {
-    SVA_FAILPOINT("flow.setup_load");
-    ByteReader r(bytes);
-    if (r.u32() != kSetupMagic) throw SerializeError("bad magic");
-    if (r.u32() != kSetupFormatVersion)
-      throw SerializeError("unsupported format version");
-    if (r.u64() != setup_content_hash())
-      throw SerializeError("content hash mismatch (stale snapshot)");
-    const std::uint64_t payload_hash = r.u64();
-    if (fnv1a64_words(bytes.data() + (bytes.size() - r.remaining()),
-                      r.remaining()) != payload_hash)
-      throw SerializeError("payload checksum mismatch");
-    const std::uint64_t n_masters = r.u64();
-    if (n_masters != library_.size())
+  const auto decode = [&](ByteReader& r) {
+    if (r.u64() != library_.size())
       throw SerializeError("master count mismatch");
     opc.reserve(library_.size());
     for (std::size_t i = 0; i < library_.size(); ++i) {
@@ -228,8 +195,7 @@ bool SvaFlow::try_load_setup(const std::string& dir) {
         throw SerializeError("device count mismatch");
       opc.push_back(std::move(res));
     }
-    const std::uint64_t n_points = r.u64();
-    if (n_points != config_.table_spacings.size())
+    if (r.u64() != config_.table_spacings.size())
       throw SerializeError("pitch point count mismatch");
     points.reserve(config_.table_spacings.size());
     for (std::size_t i = 0; i < config_.table_spacings.size(); ++i) {
@@ -241,18 +207,10 @@ bool SvaFlow::try_load_setup(const std::string& dir) {
         throw SerializeError("pitch spacing mismatch");
       points.push_back(p);
     }
-    r.expect_end();
-  } catch (const Error& e) {
-    // The snapshot failed validation: quarantine it so later runs
-    // cold-start on a clean miss instead of re-parsing a bad file.
-    quarantine_file(path);
-    MetricsRegistry::global().counter("flow.setup_quarantined").add();
-    diag_warn("flow", "setup_quarantined",
-              "setup snapshot " + path + " quarantined (" + e.what() +
-                  "); cold start");
+  };
+  if (!load_snapshot(setup_cache_file_path(dir), kSetupKind,
+                     setup_content_hash(), kReporting, decode))
     return false;
-  }
-
   library_opc_ = std::move(opc);
   pitch_points_ = std::move(points);
   return true;
@@ -272,19 +230,8 @@ void SvaFlow::save_setup(const std::string& dir) const {
     payload.f64(p.printed_cd);
     payload.f64(p.mask_bias);
   }
-
-  ByteWriter file;
-  file.u32(kSetupMagic);
-  file.u32(kSetupFormatVersion);
-  file.u64(setup_content_hash());
-  file.u64(fnv1a64_words(payload.bytes().data(), payload.size()));
-  // Per-file advisory lock: concurrent processes cold-starting the same
-  // configuration serialize their snapshot writes instead of racing the
-  // temp+rename (last-writer-wins is correct either way -- the contents
-  // are identical -- but the lock keeps temp-file churn bounded).
-  const FileLock lock = FileLock::acquire(setup_cache_file_path(dir));
-  atomic_write_file(setup_cache_file_path(dir),
-                    file.bytes() + payload.bytes());
+  write_sealed_file(setup_cache_file_path(dir), kSetupKind,
+                    setup_content_hash(), payload.bytes());
   log_debug("flow: setup snapshot saved to ", setup_cache_file_path(dir));
 }
 
@@ -303,19 +250,18 @@ std::vector<VersionKey> SvaFlow::bind_versions(
 
 CircuitAnalysis SvaFlow::analyze(const Netlist& netlist,
                                  const Placement& placement) const {
-  return analyze_impl(netlist, placement, nullptr, false, nullptr);
+  return analyze_impl(netlist, placement, nullptr, nullptr);
 }
 
 CircuitAnalysis SvaFlow::analyze(const Netlist& netlist,
                                  const Placement& placement, ThreadPool& pool,
-                                 bool parallel_sta,
                                  const CancelToken* cancel) const {
-  return analyze_impl(netlist, placement, &pool, parallel_sta, cancel);
+  return analyze_impl(netlist, placement, &pool, cancel);
 }
 
 CircuitAnalysis SvaFlow::analyze_impl(const Netlist& netlist,
                                       const Placement& placement,
-                                      ThreadPool* pool, bool parallel_sta,
+                                      ThreadPool* pool,
                                       const CancelToken* cancel) const {
   SVA_REQUIRE(&placement.netlist() == &netlist);
   ScopedTimer timer(MetricsRegistry::global().timer("flow.analyze"));
@@ -360,7 +306,7 @@ CircuitAnalysis SvaFlow::analyze_impl(const Netlist& netlist,
                        &out.sva_nom_ps, &out.sva_bc_ps, &out.sva_wc_ps};
   auto run_one = [&](std::size_t i) {
     *fields[i] =
-        (pool != nullptr && parallel_sta)
+        pool != nullptr
             ? sta.run_parallel(*scales[i], *pool, cancel).critical_delay_ps
             : sta.run(*scales[i]).critical_delay_ps;
   };

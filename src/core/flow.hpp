@@ -160,17 +160,6 @@ class SvaFlow {
   /// threads) running against this flow.
   const ContextCache& context_cache() const { return *context_cache_; }
 
-  /// Warm-start the context cache from / snapshot it to a persistent
-  /// cache directory (see engine/context_cache.hpp for the format and the
-  /// corruption policy).  Thin forwarders so every flow consumer -- CLI
-  /// commands, benches, tests -- shares one call site idiom.
-  bool try_load_context_cache(const std::string& dir) const {
-    return context_cache_->try_load(dir);
-  }
-  std::size_t save_context_cache(const std::string& dir) const {
-    return context_cache_->save(dir);
-  }
-
   /// Wall-clock seconds spent on library OPC + pitch characterization
   /// during construction (Table 1's "Library OPC Runtime"); the litho
   /// calibration before them is not counted.  Near zero when the setup was
@@ -209,9 +198,6 @@ class SvaFlow {
   /// coexist).
   std::string setup_cache_file_path(const std::string& dir) const;
 
-  static constexpr std::uint32_t kSetupMagic = 0x53415653;  ///< "SVAS" (LE)
-  static constexpr std::uint32_t kSetupFormatVersion = 1;
-
   /// Generate a benchmark netlist / its placement with this flow's
   /// library and configuration.
   Netlist make_benchmark(const std::string& name) const;
@@ -224,14 +210,12 @@ class SvaFlow {
   CircuitAnalysis analyze(const Netlist& netlist,
                           const Placement& placement) const;
 
-  /// Parallel analysis: the six corner STA runs (traditional and SVA
-  /// {nominal, best, worst}) fan out as pool tasks; with `parallel_sta`
-  /// each run additionally levelizes across the pool.  Bit-identical to
-  /// the serial analyze() at any thread count.  A non-null `cancel` is
-  /// polled before each corner run (and per STA level when parallel_sta);
-  /// a tripped token surfaces as CancelledError out of analyze().
+  /// Parallel analysis: the six corner STA runs fan out as pool tasks and
+  /// each levelizes across the pool; bit-identical to the serial analyze()
+  /// at any thread count.  A non-null `cancel` is polled per corner run and
+  /// STA level; a trip surfaces as CancelledError out of analyze().
   CircuitAnalysis analyze(const Netlist& netlist, const Placement& placement,
-                          ThreadPool& pool, bool parallel_sta = false,
+                          ThreadPool& pool,
                           const CancelToken* cancel = nullptr) const;
 
   /// Convenience: generate, place, analyze.
@@ -240,10 +224,9 @@ class SvaFlow {
  private:
   CircuitAnalysis analyze_impl(const Netlist& netlist,
                                const Placement& placement, ThreadPool* pool,
-                               bool parallel_sta,
                                const CancelToken* cancel) const;
-  /// Restore library_opc_ + pitch_points_ from `dir`; false (and leaves
-  /// both empty) when the snapshot is missing, stale, or corrupt.
+  /// Restore library_opc_ + pitch_points_ from `dir` (util/sealed_file.hpp
+  /// load policy); false, leaving both empty, on any cold start.
   bool try_load_setup(const std::string& dir);
   void save_setup(const std::string& dir) const;
   /// Library OPC + pitch characterization from scratch (the cold branch),

@@ -125,13 +125,6 @@ double SvaCornerScale::scale(std::size_t gate, std::size_t arc_index) const {
   return factors_[gate][arc_index];
 }
 
-const ArcAnnotation& SvaCornerScale::annotation(std::size_t gate,
-                                                std::size_t arc_index) const {
-  SVA_REQUIRE(gate < annotations_.size());
-  SVA_REQUIRE(arc_index < annotations_[gate].size());
-  return annotations_[gate][arc_index];
-}
-
 std::vector<std::size_t> SvaCornerScale::class_histogram() const {
   std::vector<std::size_t> counts(3, 0);
   for (const auto& gate : annotations_)

@@ -55,10 +55,6 @@ class SvaCornerScale final : public ArcScaleProvider {
 
   double scale(std::size_t gate, std::size_t arc_index) const override;
 
-  /// Annotation of one gate's arc (for reports and tests).
-  const ArcAnnotation& annotation(std::size_t gate,
-                                  std::size_t arc_index) const;
-
   /// Count of arcs per class over the whole design (for reports).
   std::vector<std::size_t> class_histogram() const;
 

@@ -2,10 +2,10 @@
 
 #include <chrono>
 
-#include "util/checkpoint.hpp"
 #include "util/diagnostics.hpp"
 #include "util/failpoint.hpp"
 #include "util/metrics.hpp"
+#include "util/sealed_file.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {
@@ -66,11 +66,7 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
                             fnv1a64(circuit.data(), circuit.size()));
         const Netlist netlist = flow_->make_benchmark(circuit);
         const Placement placement = flow_->make_placement(netlist);
-        out.analyses[ji] =
-            options_.parallel_corners
-                ? flow_->analyze(netlist, placement, *pool_,
-                                 options_.parallel_sta, cancel)
-                : flow_->analyze(netlist, placement);
+        out.analyses[ji] = flow_->analyze(netlist, placement, *pool_, cancel);
       } catch (const CancelledError& e) {
         // Incomplete, not failed: the slot re-runs on resume.  No
         // diagnostic -- cancellation is a user action, not a degradation.
@@ -163,6 +159,7 @@ void save_batch_checkpoint(const std::string& path, const SvaFlow& flow,
                            const BatchResult& partial) {
   SVA_REQUIRE(partial.outcomes.size() == jobs.size());
   SVA_REQUIRE(partial.analyses.size() == jobs.size());
+  SVA_FAILPOINT("checkpoint.write");
   ByteWriter w;
   w.u64(jobs.size());
   for (std::size_t ji = 0; ji < jobs.size(); ++ji) {
@@ -175,14 +172,14 @@ void save_batch_checkpoint(const std::string& path, const SvaFlow& flow,
     w.str(o.error);
     serialize_analysis(w, partial.analyses[ji]);
   }
-  write_checkpoint(path, kBatchCheckpointKind, batch_content_hash(flow, jobs),
-                   w.bytes());
+  write_sealed_file(path, kBatchCheckpointKind,
+                    batch_content_hash(flow, jobs), w.bytes());
 }
 
 BatchResult load_batch_checkpoint(const std::string& path,
                                   const SvaFlow& flow,
                                   const std::vector<BatchJob>& jobs) {
-  const std::string payload = read_checkpoint(
+  const std::string payload = read_sealed_file(
       path, kBatchCheckpointKind, batch_content_hash(flow, jobs));
   ByteReader r(payload);
   if (r.u64() != jobs.size())

@@ -3,8 +3,8 @@
 //
 // A batch is a list of jobs (benchmark circuit names today; the struct
 // leaves room for per-job knobs).  Jobs fan out across the pool; inside a
-// job the six corner STA runs fan out again, and optionally each run
-// levelizes across the pool too -- all three tiers compose because waiting
+// job the six corner STA runs fan out again, and each run levelizes
+// across the pool too -- all three tiers compose because waiting
 // threads execute queued work (see thread_pool.hpp).  Results land in a
 // vector indexed by job, so the output ordering -- and, because every
 // computation is bit-exact under reordering, the output values -- are
@@ -25,8 +25,6 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  bool parallel_corners = true;  ///< fan the 6 corner runs out as tasks
-  bool parallel_sta = true;      ///< levelized parallel_for inside each run
   /// Per-job fault isolation: a throwing job records a Failed outcome (and
   /// a "batch_job_failed" diagnostic) in its own slot, deterministically,
   /// and every other job still runs.  false => run() raises the first
@@ -93,7 +91,7 @@ std::uint64_t batch_content_hash(const SvaFlow& flow,
                                  const std::vector<BatchJob>& jobs);
 
 /// Journal the final (non-cancelled) slots of `partial` to `path` in a
-/// "batch"-kind checkpoint envelope (util/checkpoint.hpp).  Throws
+/// "batch"-kind sealed file (util/sealed_file.hpp).  Throws
 /// sva::Error on IO failure.
 void save_batch_checkpoint(const std::string& path, const SvaFlow& flow,
                            const std::vector<BatchJob>& jobs,

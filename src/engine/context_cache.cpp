@@ -1,28 +1,20 @@
 #include "engine/context_cache.hpp"
 
-#include <chrono>
-#include <cstdio>
 #include <thread>
 #include <utility>
 
-#include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
-#include "util/filelock.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/retry.hpp"
+#include "util/sealed_file.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {
 namespace {
 
-std::uint64_t ns_since(const std::chrono::steady_clock::time_point& t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
+/// Sealed-file kind of the slot snapshot.
+constexpr char kSlotsKind[] = "slots";
 
 }  // namespace
 
@@ -39,11 +31,6 @@ ContextCache::ContextCache(const ContextLibrary& library)
     drawn_length_.push_back(cell.master.tech().gate_length);
     slots_.push_back(std::make_unique<Slot[]>(versions_per_cell_));
   }
-}
-
-ContextCache::Slot& ContextCache::slot_at(std::size_t cell,
-                                          std::size_t version_idx) const {
-  return slots_[cell][version_idx];
 }
 
 const std::vector<Nm>& ContextCache::version_lengths(
@@ -112,7 +99,7 @@ void ContextCache::warm_all() const {
 
 bool ContextCache::fill_slot(std::size_t cell, std::size_t version_idx,
                              std::vector<Nm>&& lengths) const {
-  Slot& slot = slot_at(cell, version_idx);
+  Slot& slot = slots_[cell][version_idx];
   std::uint8_t expected = Slot::kEmpty;
   if (!slot.state.compare_exchange_strong(expected, Slot::kBusy,
                                           std::memory_order_acq_rel,
@@ -126,156 +113,94 @@ bool ContextCache::fill_slot(std::size_t cell, std::size_t version_idx,
 }
 
 std::string ContextCache::cache_file_path(const std::string& dir) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "ctx_%016llx.svac",
-                static_cast<unsigned long long>(library_->content_hash()));
-  return dir + "/" + name;
+  return snapshot_path(dir, "ctx", library_->content_hash());
 }
 
 std::size_t ContextCache::save(const std::string& dir) const {
-  const auto t0 = std::chrono::steady_clock::now();
+  const ScopedTimer timer(MetricsRegistry::global().timer("context_cache.save"));
   SVA_FAILPOINT("context_cache.save");
+  const std::string path = cache_file_path(dir);
+  {
+    const std::lock_guard<std::mutex> lock(synced_mu_);
+    if (path == synced_path_ &&
+        characterized_.load(std::memory_order_acquire) == synced_slots_)
+      return synced_slots_;
+  }
 
-  // Collect the filled slots first (the count precedes the records).  A
-  // slot whose characterization is still in flight on another thread is
-  // simply not snapshotted.
-  ByteWriter records;
+  // Payload: the slot grid shape, then one record per filled slot up to
+  // the end.  A slot whose characterization is still in flight on another
+  // thread is simply not snapshotted.
+  ByteWriter payload;
+  payload.u64(slots_.size());
+  payload.u64(versions_per_cell_);
   std::size_t count = 0;
   for (std::size_t ci = 0; ci < slots_.size(); ++ci) {
     for (std::size_t vi = 0; vi < versions_per_cell_; ++vi) {
       const Slot& slot = slots_[ci][vi];
       if (slot.state.load(std::memory_order_acquire) != Slot::kFilled)
         continue;
-      records.u64(ci);
-      records.u64(vi);
-      records.vec_f64(slot.lengths);
+      payload.u64(ci);
+      payload.u64(vi);
+      payload.vec_f64(slot.lengths);
       ++count;
     }
   }
-
-  ByteWriter file;
-  file.u32(kMagic);
-  file.u32(kFormatVersion);
-  file.u64(library_->content_hash());
-  file.u64(slots_.size());
-  file.u64(versions_per_cell_);
-  file.u64(count);
-  // Checksum of the record block: any bit flipped in the payload -- even
-  // inside a double, which no structural check can catch -- fails the
-  // load instead of producing wrong numbers.
-  file.u64(fnv1a64_words(records.bytes().data(), records.size()));
-  // Single buffer: header followed by the record block, written under the
-  // snapshot's advisory lock so concurrent processes sharing the cache dir
-  // serialize their writes (see util/filelock.hpp).
-  const FileLock lock = FileLock::acquire(cache_file_path(dir));
-  atomic_write_file(cache_file_path(dir), file.bytes() + records.bytes());
-
-  const std::uint64_t ns = ns_since(t0);
-  save_ns_.fetch_add(ns, std::memory_order_relaxed);
-  MetricsRegistry::global().counter("context_cache.save_ns").add(ns);
-  log_debug("context cache: saved ", count, " slots to ",
-            cache_file_path(dir));
+  write_sealed_file(path, kSlotsKind, library_->content_hash(),
+                    payload.bytes());
+  log_debug("context cache: saved ", count, " slots to ", path);
   return count;
 }
 
 bool ContextCache::try_load(const std::string& dir) const {
-  const auto t0 = std::chrono::steady_clock::now();
+  static constexpr SnapshotReporting kReporting = {
+      "context cache snapshot", "context_cache", "cache_read_failed",
+      "cache_quarantined", "context_cache.quarantined", "context_cache.load"};
+  const ScopedTimer timer(MetricsRegistry::global().timer("context_cache.load"));
   const std::string path = cache_file_path(dir);
+  const std::lock_guard<std::mutex> lock(synced_mu_);
+  synced_path_.clear();
 
-  const auto count_cold_start = [&] {
-    disk_misses_.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry::global().counter("context_cache.disk_misses").add();
-    const std::uint64_t ns = ns_since(t0);
-    load_ns_.fetch_add(ns, std::memory_order_relaxed);
-    MetricsRegistry::global().counter("context_cache.load_ns").add(ns);
+  struct Record {
+    std::size_t cell, version;
+    std::vector<Nm> lengths;
   };
-
-  std::string bytes;
-  try {
-    // Transient read errors (including injected "serialize.read" faults)
-    // retry with backoff; a retried-then-successful load is bit-identical
-    // to an untroubled one.
-    bytes = with_retry("context cache read", RetryPolicy{},
-                       [&] { return read_file_bytes(path); });
-  } catch (const FileMissingError&) {
-    // No snapshot yet: the normal first run, not worth a warning.
-    count_cold_start();
-    log_debug("context cache: no snapshot at ", path);
-    return false;
-  } catch (const Error& e) {
-    // Read failed even after retries.  The file content may still be fine
-    // (the fault was in the transport), so do not quarantine.
-    count_cold_start();
-    diag_warn("context_cache", "cache_read_failed",
-              std::string("cold start: ") + e.what());
-    return false;
-  }
-
-  // Parse and validate the whole file before touching a single slot, so a
-  // corrupt tail can never leave the cache partially poisoned.
-  std::vector<std::pair<std::size_t, std::size_t>> keys;
-  std::vector<std::vector<Nm>> lengths;
-  try {
-    SVA_FAILPOINT("context_cache.load");
-    ByteReader r(bytes);
-    if (r.u32() != kMagic) throw SerializeError("bad magic");
-    if (r.u32() != kFormatVersion)
-      throw SerializeError("unsupported format version");
-    if (r.u64() != library_->content_hash())
-      throw SerializeError("content hash mismatch (stale cache)");
+  std::vector<Record> records;
+  const auto decode = [&](ByteReader& r) {
     if (r.u64() != slots_.size() || r.u64() != versions_per_cell_)
       throw SerializeError("slot grid mismatch");
-    const std::uint64_t count = r.u64();
-    const std::uint64_t payload_hash = r.u64();
-    if (fnv1a64_words(bytes.data() + (bytes.size() - r.remaining()),
-                      r.remaining()) != payload_hash)
-      throw SerializeError("payload checksum mismatch");
-    // A record is at least cell + version + length count = 24 bytes, so a
-    // corrupt count cannot force a huge reserve.
-    if (count > r.remaining() / 24)
-      throw SerializeError("corrupt slot count " + std::to_string(count));
-    keys.reserve(static_cast<std::size_t>(count));
-    lengths.reserve(static_cast<std::size_t>(count));
     const CharacterizedLibrary& chars = library_->characterized();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t ci = r.u64();
-      const std::uint64_t vi = r.u64();
-      if (ci >= slots_.size() || vi >= versions_per_cell_)
+    while (!r.at_end()) {
+      Record rec{static_cast<std::size_t>(r.u64()),
+                 static_cast<std::size_t>(r.u64()), {}};
+      if (rec.cell >= slots_.size() || rec.version >= versions_per_cell_)
         throw SerializeError("slot index out of range");
-      std::vector<Nm> arc_lengths = r.vec_f64();
-      if (arc_lengths.size() !=
-          chars.cells[static_cast<std::size_t>(ci)].master.arcs().size())
+      rec.lengths = r.vec_f64();
+      if (rec.lengths.size() != chars.cells[rec.cell].master.arcs().size())
         throw SerializeError("arc count mismatch");
-      keys.emplace_back(static_cast<std::size_t>(ci),
-                        static_cast<std::size_t>(vi));
-      lengths.push_back(std::move(arc_lengths));
+      records.push_back(std::move(rec));
     }
-    r.expect_end();
-  } catch (const Error& e) {
-    // Validation failed on bytes we did read: the snapshot itself is bad.
-    // Quarantine it so no later run wastes time re-parsing a file known
-    // corrupt; the next run cold-starts cleanly on FileMissingError.
-    count_cold_start();
-    quarantine_file(path);
-    MetricsRegistry::global().counter("context_cache.quarantined").add();
-    diag_warn("context_cache", "cache_quarantined",
-              "snapshot " + path + " quarantined (" + e.what() +
-                  "); cold start");
+  };
+  if (!load_snapshot(path, kSlotsKind, library_->content_hash(), kReporting,
+                     decode)) {
+    disk_misses_.fetch_add(1, std::memory_order_relaxed);
+    MetricsRegistry::global().counter("context_cache.disk_misses").add();
     return false;
   }
 
-  std::uint64_t restored = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    if (fill_slot(keys[i].first, keys[i].second, std::move(lengths[i])))
-      ++restored;
+  std::size_t restored = 0;
+  for (Record& rec : records)
+    if (fill_slot(rec.cell, rec.version, std::move(rec.lengths))) ++restored;
   disk_hits_.fetch_add(restored, std::memory_order_relaxed);
-  characterized_.fetch_add(static_cast<std::size_t>(restored),
-                           std::memory_order_relaxed);
+  const std::size_t filled =
+      characterized_.fetch_add(restored, std::memory_order_acq_rel) + restored;
   MetricsRegistry::global().counter("context_cache.disk_hits").add(restored);
-  const std::uint64_t ns = ns_since(t0);
-  load_ns_.fetch_add(ns, std::memory_order_relaxed);
-  MetricsRegistry::global().counter("context_cache.load_ns").add(ns);
-  log_debug("context cache: restored ", restored, " of ", keys.size(),
+  // Every filled slot came from this file (and every record was restored):
+  // a save() before the next characterization would rewrite these bytes.
+  if (restored == records.size() && filled == restored) {
+    synced_path_ = path;
+    synced_slots_ = restored;
+  }
+  log_debug("context cache: restored ", restored, " of ", records.size(),
             " slots from ", path);
   return true;
 }
@@ -288,8 +213,6 @@ ContextCache::Stats ContextCache::read_stats_once() const {
   s.capacity = slots_.size() * versions_per_cell_;
   s.disk_hits = disk_hits_.load(std::memory_order_acquire);
   s.disk_misses = disk_misses_.load(std::memory_order_acquire);
-  s.load_ns = load_ns_.load(std::memory_order_acquire);
-  s.save_ns = save_ns_.load(std::memory_order_acquire);
   return s;
 }
 

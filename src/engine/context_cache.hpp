@@ -11,21 +11,19 @@
 // calling ContextLibrary directly: the slot computation *is* that call,
 // memoized.
 //
-// Persistence: save() snapshots the filled slots into a single binary file
-// keyed by the library's content hash (util/serialize.hpp codec; atomic
-// temp-file + rename write), and try_load() restores them so a later
-// process starts warm.  A loaded slot is bit-identical to a characterized
-// one -- the file stores the exact doubles -- so warm runs reproduce cold
-// results exactly.  try_load() validates the magic, format version,
-// content hash, payload checksum, and every slot record before touching
-// the cache; any mismatch, truncation, or corruption degrades to a cold
-// start (returns false, file ignored), never a crash or a wrong number.
+// Persistence: save() writes the filled slots as a "slots"-kind sealed
+// file keyed by the library's content hash, and try_load() restores them
+// under the snapshot-load policy (util/sealed_file.hpp), so a later
+// process starts warm.  The file stores the exact doubles, so warm runs
+// reproduce cold results bit for bit.
 //
-// Hit/miss and disk counters feed the "context_cache.*" metrics.
+// Hit/miss and disk counters feed the "context_cache.*" metrics; the
+// "context_cache.load" / "context_cache.save" timers time persistence.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,19 +63,17 @@ class ContextCache {
   std::string cache_file_path(const std::string& dir) const;
 
   /// Snapshot every currently filled slot to `dir` (created if missing)
-  /// with an atomic write.  Returns the number of slots written.  Throws
-  /// sva::Error on I/O failure.
+  /// with an atomic write.  Returns the number of slots snapshotted.  When
+  /// every filled slot was restored by a try_load() of this same file and
+  /// none has been characterized since, the file already holds exactly
+  /// these slots and the write is skipped.  Throws sva::Error on I/O
+  /// failure.
   std::size_t save(const std::string& dir) const;
 
-  /// Restore slots from a prior save() in `dir`.  Returns true and counts
-  /// each restored slot as a disk hit on success; returns false -- after
-  /// validating, without modifying any slot -- when the file is missing,
-  /// truncated, corrupt, or keyed by a different content hash (reported
-  /// via diagnostics, counted as a disk miss).  Transient read errors are
-  /// retried with backoff before giving up; a file that fails validation
-  /// is quarantined to `*.svac.corrupt` ("context_cache.quarantined"
-  /// metric) so later runs cold-start cleanly instead of re-parsing it.
-  /// Slots already filled in this process keep their computed values.
+  /// Restore slots from a prior save() in `dir` under the snapshot-load
+  /// policy of util/sealed_file.hpp: a restored slot counts as a disk hit,
+  /// a false return as a disk miss, and no slot changes unless the whole
+  /// file validates.  Slots already filled keep their computed values.
   bool try_load(const std::string& dir) const;
 
   struct Stats {
@@ -87,8 +83,6 @@ class ContextCache {
     std::size_t capacity = 0;       ///< total slots = cells * versions
     std::uint64_t disk_hits = 0;    ///< slots restored from a cache file
     std::uint64_t disk_misses = 0;  ///< failed load attempts (cold starts)
-    std::uint64_t load_ns = 0;      ///< wall time spent in try_load()
-    std::uint64_t save_ns = 0;      ///< wall time spent in save()
 
     friend bool operator==(const Stats&, const Stats&) = default;
   };
@@ -96,9 +90,6 @@ class ContextCache {
   /// passes agree, so a mid-run caller never sees e.g. a miss counted but
   /// its characterization not yet reflected elsewhere.
   Stats stats() const;
-
-  static constexpr std::uint32_t kMagic = 0x43415653;  ///< "SVAC" (LE)
-  static constexpr std::uint32_t kFormatVersion = 1;
 
  private:
   // Per-slot state machine.  Empty -> Busy is claimed with one CAS; the
@@ -115,7 +106,6 @@ class ContextCache {
     std::vector<Nm> lengths;  ///< valid once state is Filled
   };
 
-  Slot& slot_at(std::size_t cell, std::size_t version_idx) const;
   /// Fill one slot with externally provided lengths (no-op if the slot is
   /// already filled); returns true if this call filled it.
   bool fill_slot(std::size_t cell, std::size_t version_idx,
@@ -135,8 +125,11 @@ class ContextCache {
   mutable std::atomic<std::size_t> characterized_{0};
   mutable std::atomic<std::uint64_t> disk_hits_{0};
   mutable std::atomic<std::uint64_t> disk_misses_{0};
-  mutable std::atomic<std::uint64_t> load_ns_{0};
-  mutable std::atomic<std::uint64_t> save_ns_{0};
+  /// The file the last try_load() restored every filled slot from, and
+  /// the slot count then; empty when the slots and no file agree.
+  mutable std::mutex synced_mu_;
+  mutable std::string synced_path_;
+  mutable std::size_t synced_slots_ = 0;
 };
 
 }  // namespace sva

@@ -7,9 +7,10 @@
 #include <utility>
 
 #include "core/scales.hpp"
-#include "util/checkpoint.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/metrics.hpp"
+#include "util/sealed_file.hpp"
 #include "util/serialize.hpp"
 #include "util/strings.hpp"
 
@@ -361,6 +362,7 @@ std::uint64_t EcoOptimizer::state_hash() const {
 }
 
 void EcoOptimizer::checkpoint(const std::string& path) const {
+  SVA_FAILPOINT("checkpoint.write");
   ByteWriter w;
   w.str(result_.benchmark);
   w.u8(static_cast<std::uint8_t>(config_.mode));
@@ -380,14 +382,14 @@ void EcoOptimizer::checkpoint(const std::string& path) const {
     w.f64(result_.trajectory[i].gain_ps);
     w.f64(result_.trajectory[i].worst_slack_ps);
   }
-  write_checkpoint(path, kEcoCheckpointKind, state_hash(), w.bytes());
+  write_sealed_file(path, kEcoCheckpointKind, state_hash(), w.bytes());
 }
 
 void EcoOptimizer::restore(const std::string& path) {
   SVA_REQUIRE_MSG(committed_moves_.empty(),
                   "restore() must run before any move is committed");
   const std::string payload =
-      read_checkpoint(path, kEcoCheckpointKind, state_hash());
+      read_sealed_file(path, kEcoCheckpointKind, state_hash());
   ByteReader r(payload);
   if (r.str() != result_.benchmark)
     throw SerializeError("eco checkpoint benchmark mismatch");

@@ -5,8 +5,8 @@
 //
 //   [u32 magic "SVAF"][u32 payload_len][payload]
 //
-// where the payload is a ByteWriter envelope mirroring the checkpoint
-// discipline (util/checkpoint.hpp): protocol version, message type, an
+// where the payload is a ByteWriter envelope mirroring the sealed-file
+// discipline (util/sealed_file.hpp): protocol version, message type, an
 // fnv1a64_words checksum of the body, then the length-prefixed body
 // bytes.  The byte order is the codec's fixed little-endian, so golden
 // frame bytes in the tests are platform-stable.

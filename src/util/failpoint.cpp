@@ -193,7 +193,7 @@ const std::vector<std::string>& FailPoints::catalogue() {
       "opc.cell_solve",      // per-cell library OPC (keyed by cell name)
       "engine.task",         // thread-pool task execution
       "batch.job",           // BatchRunner job (keyed by circuit name)
-      "checkpoint.write",    // write_checkpoint envelope write
+      "checkpoint.write",    // ECO / batch journal write
       "cache.lock",          // FileLock::acquire (cache/checkpoint locks)
       "server.accept",       // daemon accept loop (connection dropped)
       "server.read",         // daemon per-connection frame read

@@ -15,6 +15,7 @@
 #include "engine/options.hpp"
 #include "engine/thread_pool.hpp"
 #include "place/context.hpp"
+#include "util/metrics.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {
@@ -213,6 +214,11 @@ TEST(ContextCachePersistTest, SaveLoadRoundTripIsBitIdentical) {
   const std::size_t bins = library.bins().count();
   const std::string dir = persist_dir("roundtrip");
 
+  TimerStat& load_timer = MetricsRegistry::global().timer("context_cache.load");
+  TimerStat& save_timer = MetricsRegistry::global().timer("context_cache.save");
+  const std::uint64_t loads_before = load_timer.count();
+  const std::uint64_t saves_before = save_timer.count();
+
   const ContextCache cold(library);
   cold.warm_all();
   const std::size_t saved = cold.save(dir);
@@ -226,8 +232,9 @@ TEST(ContextCachePersistTest, SaveLoadRoundTripIsBitIdentical) {
   EXPECT_EQ(stats.characterized, stats.capacity);
   // Restoring is not a (re)characterization miss.
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_GT(stats.load_ns, 0u);
-  EXPECT_GT(cold.stats().save_ns, 0u);
+  // One timer sample per call.
+  EXPECT_EQ(load_timer.count(), loads_before + 1);
+  EXPECT_EQ(save_timer.count(), saves_before + 1);
 
   // Every slot value and derived scale must match the cold cache exactly.
   const std::size_t cells = library.characterized().cells.size();
@@ -308,6 +315,12 @@ TEST(ContextCachePersistTest, RejectsMangledSnapshots) {
     return bad;
   };
 
+  // Sealed-file offsets: u32 magic, u32 version, then the kind "slots"
+  // behind its u64 length, the u64 content hash, the payload behind its
+  // u64 length (grid shape first) and the trailing u64 checksum.
+  const std::size_t kind_at = 16;
+  const std::size_t hash_at = kind_at + 5;
+  const std::size_t grid_at = hash_at + 8 + 8;
   struct Case {
     const char* what;
     std::string bytes;
@@ -315,9 +328,11 @@ TEST(ContextCachePersistTest, RejectsMangledSnapshots) {
   const std::vector<Case> cases = {
       {"flipped magic", flipped(0)},
       {"flipped format version", flipped(4)},
-      {"flipped content hash", flipped(8)},
-      {"flipped header grid", flipped(17)},
-      {"flipped payload byte", flipped(good.size() - 3)},
+      {"flipped kind", flipped(kind_at)},
+      {"flipped content hash", flipped(hash_at)},
+      {"flipped header grid", flipped(grid_at)},
+      {"flipped payload byte", flipped(good.size() - 12)},
+      {"flipped checksum", flipped(good.size() - 3)},
       {"truncated header", good.substr(0, 10)},
       {"truncated payload", good.substr(0, good.size() / 2)},
       {"empty file", std::string{}},

@@ -224,12 +224,12 @@ TEST(FlowCache, WarmStartIsBitIdenticalToCold) {
   const SvaFlow cold{config};
   EXPECT_FALSE(cold.setup_from_cache());
   const CircuitAnalysis a = cold.analyze_benchmark("C432");
-  cold.save_context_cache(dir);
+  cold.context_cache().save(dir);
 
   // Warm run: everything restored from disk.
   const SvaFlow warm{config};
   EXPECT_TRUE(warm.setup_from_cache());
-  EXPECT_TRUE(warm.try_load_context_cache(dir));
+  EXPECT_TRUE(warm.context_cache().try_load(dir));
   EXPECT_GT(warm.context_cache().stats().disk_hits, 0u);
 
   // The restored products are the exact bytes the cold run computed...

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -26,14 +28,17 @@
 #include "engine/context_cache.hpp"
 #include "engine/options.hpp"
 #include "engine/thread_pool.hpp"
+#include "netlist/iscas85.hpp"
+#include "opt/eco.hpp"
+#include "opt/sizing.hpp"
 #include "util/cache_gc.hpp"
 #include "util/cancel.hpp"
-#include "util/checkpoint.hpp"
 #include "util/diagnostics.hpp"
 #include "util/failpoint.hpp"
 #include "util/filelock.hpp"
 #include "util/metrics.hpp"
 #include "util/retry.hpp"
+#include "util/sealed_file.hpp"
 #include "util/serialize.hpp"
 
 namespace sva {
@@ -986,30 +991,42 @@ TEST_F(FileLockTest, InjectedLockFaultFires) {
                FailPointError);
 }
 
-// --------------------------------------------------- checkpoint envelope
+// --------------------------------------------------- sealed-file envelope
 
 using CheckpointTest = RobustnessTest;
 
 TEST_F(CheckpointTest, RoundTripPreservesPayload) {
   const std::string path = fresh_dir("ckpt") + "/state.ckpt";
   const std::string payload = "\x01\x02payload bytes\xff";
-  write_checkpoint(path, "eco", /*content_hash=*/0xabcdefull, payload);
-  EXPECT_EQ(read_checkpoint(path, "eco", 0xabcdefull), payload);
-  // kAnyHash skips the identity check (used by inspection tools).
-  EXPECT_EQ(read_checkpoint(path, "eco", kAnyHash), payload);
-  EXPECT_EQ(checkpoint_content_hash(path, "eco"), 0xabcdefull);
+  write_sealed_file(path, "eco", /*content_hash=*/0xabcdefull, payload);
+  EXPECT_EQ(read_sealed_file(path, "eco", 0xabcdefull), payload);
+
+  // The envelope bytes are pinned: journals written by earlier builds
+  // must keep resuming.  Little-endian u32 magic "SVAK", u32 version 1,
+  // u64-length-prefixed kind, u64 content hash, u64-length-prefixed
+  // payload, u64 word-wise FNV-1a checksum of the payload.
+  const auto le64 = [](std::uint64_t v) {
+    std::string b(8, '\0');
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    return b;
+  };
+  const std::string expected =
+      std::string("SVAK\x01\x00\x00\x00", 8) + le64(3) + "eco" +
+      le64(0xabcdefull) + le64(payload.size()) + payload +
+      le64(fnv1a64_words(payload.data(), payload.size()));
+  EXPECT_EQ(read_file_bytes(path), expected);
 }
 
 TEST_F(CheckpointTest, MismatchesAreRefused) {
   const std::string dir = fresh_dir("ckpt_bad");
   const std::string path = dir + "/state.ckpt";
-  write_checkpoint(path, "eco", 7, "payload");
+  write_sealed_file(path, "eco", 7, "payload");
   // Wrong kind (an optimize checkpoint fed to analyze --resume).
-  EXPECT_THROW(read_checkpoint(path, "batch", kAnyHash), SerializeError);
+  EXPECT_THROW(read_sealed_file(path, "batch", 7), SerializeError);
   // Wrong content hash (resumed against different inputs).
-  EXPECT_THROW(read_checkpoint(path, "eco", 8), SerializeError);
+  EXPECT_THROW(read_sealed_file(path, "eco", 8), SerializeError);
   // Missing file.
-  EXPECT_THROW(read_checkpoint(dir + "/nope.ckpt", "eco", kAnyHash),
+  EXPECT_THROW(read_sealed_file(dir + "/nope.ckpt", "eco", 7),
                FileMissingError);
   // Flipped byte: the checksum rejects it.
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -1018,14 +1035,209 @@ TEST_F(CheckpointTest, MismatchesAreRefused) {
   f.seekp(-1, std::ios::end);
   f.put(static_cast<char>(last ^ 0x5a));
   f.close();
-  EXPECT_THROW(read_checkpoint(path, "eco", kAnyHash), SerializeError);
+  EXPECT_THROW(read_sealed_file(path, "eco", 7), SerializeError);
 }
 
 TEST_F(CheckpointTest, InjectedWriteFaultLeavesNoFile) {
   const std::string path = fresh_dir("ckpt_fp") + "/state.ckpt";
+  BatchResult partial;
+  partial.analyses.resize(1);
+  partial.outcomes = {BatchJobOutcome{false, "cancelled", true}};
   FailPoints::set("checkpoint.write", "throw");
-  EXPECT_THROW(write_checkpoint(path, "eco", 1, "p"), FailPointError);
+  EXPECT_THROW(save_batch_checkpoint(path, shared_flow(), {{"C432"}}, partial),
+               FailPointError);
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+/// Byte offsets of a sealed file's envelope fields.
+struct SealedLayout {
+  std::size_t kind = 0, hash = 0, payload = 0, checksum = 0;
+};
+
+SealedLayout sealed_layout(const std::string& bytes) {
+  ByteReader r(bytes);
+  const auto offset = [&] { return bytes.size() - r.remaining(); };
+  r.u32();
+  r.u32();
+  SealedLayout at;
+  at.kind = offset() + 8;  // past the kind's length prefix
+  r.str();
+  at.hash = offset();
+  r.u64();
+  at.payload = offset() + 8;
+  r.str();
+  at.checksum = offset();
+  return at;
+}
+
+struct Corruption {
+  std::string what;
+  std::optional<std::string> bytes;  ///< nullopt: no file at all
+};
+
+/// Every way the table mangles `good`; `other_kind` is a valid sealed
+/// file of a different kind.
+std::vector<Corruption> corruptions_of(const std::string& good,
+                                       const std::string& other_kind) {
+  const SealedLayout at = sealed_layout(good);
+  const auto flipped = [&](std::size_t offset) {
+    std::string bad = good;
+    bad[offset] = static_cast<char>(bad[offset] ^ 0x5a);
+    return bad;
+  };
+  return {
+      {"flipped magic", flipped(0)},
+      {"flipped version", flipped(4)},
+      {"flipped kind", flipped(at.kind)},
+      {"flipped content hash", flipped(at.hash)},
+      {"flipped payload byte", flipped((at.payload + at.checksum) / 2)},
+      {"flipped checksum", flipped(at.checksum)},
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"empty file", std::string{}},
+      {"garbage", std::string(200, '\x42')},
+      {"valid file of another kind", other_kind},
+      {"missing file", std::nullopt},
+  };
+}
+
+void place(const std::string& path, const std::optional<std::string>& bytes) {
+  std::filesystem::remove(path);
+  if (bytes) std::ofstream(path, std::ios::binary) << *bytes;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return MetricsRegistry::global().counter(name).value();
+}
+
+using SealedFileTest = RobustnessTest;
+
+// One table for every sealed-file kind: a snapshot that fails validation
+// is quarantined and cold-started without committing a slot or product,
+// and a journal that fails it is refused.
+TEST_F(SealedFileTest, EveryKindRefusesEveryCorruption) {
+  const SvaFlow& flow = shared_flow();
+  const ContextLibrary& library = flow.context_library();
+  const VersionKey v0 = version_key(0, library.bins().count());
+
+  // One valid file of each kind.
+  const std::string seed_dir = fresh_dir("sealed_seed");
+  FlowConfig seed_cfg;
+  seed_cfg.cache_dir = seed_dir;
+  const SvaFlow seed(seed_cfg);
+  ASSERT_FALSE(seed.setup_from_cache());
+  const std::string setup_good =
+      read_file_bytes(seed.setup_cache_file_path(seed_dir));
+  {
+    const ContextCache cache(library);
+    cache.warm_all();
+    cache.save(seed_dir);
+  }
+  const std::string slots_good =
+      read_file_bytes(ContextCache(library).cache_file_path(seed_dir));
+
+  const SizedLibrary sized(flow.library(), flow.config().electrical,
+                           flow.library_opc_results(), flow.boundary_model(),
+                           flow.config().bins);
+  EcoConfig eco_cfg;
+  eco_cfg.budget = flow.config().budget;
+  const auto make_optimizer = [&] {
+    return std::make_unique<EcoOptimizer>(
+        sized, generate_iscas85_like("C432", sized.library()),
+        flow.config().placement, eco_cfg);
+  };
+  make_optimizer()->checkpoint(seed_dir + "/eco.ckpt");
+  const std::string eco_good = read_file_bytes(seed_dir + "/eco.ckpt");
+
+  const std::vector<BatchJob> jobs = {{"C432"}};
+  BatchResult partial;
+  partial.analyses.resize(1);
+  partial.analyses[0].name = "C432";
+  partial.outcomes = {BatchJobOutcome{false, "cancelled", true}};
+  save_batch_checkpoint(seed_dir + "/batch.ckpt", flow, jobs, partial);
+  const std::string batch_good = read_file_bytes(seed_dir + "/batch.ckpt");
+
+  int n = 0;
+  const auto case_dir = [&] {
+    return fresh_dir("sealed_case_" + std::to_string(n++));
+  };
+
+  // Setup snapshot: a cold setup recomputes the products (bit-identical
+  // to the seed's) and rewrites a good snapshot.
+  for (const bool pristine : {true, false})
+    for (const Corruption& c :
+         pristine ? std::vector<Corruption>{{"pristine", setup_good}}
+                  : corruptions_of(setup_good, slots_good)) {
+      SCOPED_TRACE("setup snapshot: " + c.what);
+      FlowConfig cfg;
+      cfg.cache_dir = case_dir();
+      const std::string path = seed.setup_cache_file_path(cfg.cache_dir);
+      place(path, c.bytes);
+      const std::uint64_t quarantined = counter_value("flow.setup_quarantined");
+      const SvaFlow loaded(cfg);
+      EXPECT_EQ(loaded.setup_from_cache(), pristine);
+      const bool bad_file = !pristine && c.bytes.has_value();
+      EXPECT_EQ(quarantine_count(path), bad_file ? 1u : 0u);
+      EXPECT_EQ(counter_value("flow.setup_quarantined"),
+                quarantined + (bad_file ? 1 : 0));
+      for (std::size_t i = 0; i < seed.pitch_points().size(); ++i)
+        EXPECT_EQ(loaded.pitch_points()[i].printed_cd,
+                  seed.pitch_points()[i].printed_cd);
+      for (std::size_t ci = 0; ci < seed.library_opc_results().size(); ++ci)
+        EXPECT_EQ(loaded.library_opc_results()[ci].device_cd,
+                  seed.library_opc_results()[ci].device_cd);
+      EXPECT_TRUE(SvaFlow(cfg).setup_from_cache());
+    }
+
+  // Slot snapshot: no slot is committed; a cold query matches the library.
+  for (const bool pristine : {true, false})
+    for (const Corruption& c :
+         pristine ? std::vector<Corruption>{{"pristine", slots_good}}
+                  : corruptions_of(slots_good, setup_good)) {
+      SCOPED_TRACE("slot snapshot: " + c.what);
+      const std::string dir = case_dir();
+      const ContextCache cache(library);
+      const std::string path = cache.cache_file_path(dir);
+      place(path, c.bytes);
+      const std::uint64_t quarantined =
+          counter_value("context_cache.quarantined");
+      EXPECT_EQ(cache.try_load(dir), pristine);
+      const bool bad_file = !pristine && c.bytes.has_value();
+      EXPECT_EQ(quarantine_count(path), bad_file ? 1u : 0u);
+      EXPECT_EQ(counter_value("context_cache.quarantined"),
+                quarantined + (bad_file ? 1 : 0));
+      const ContextCache::Stats stats = cache.stats();
+      EXPECT_EQ(stats.disk_misses, pristine ? 0u : 1u);
+      EXPECT_EQ(stats.characterized, pristine ? stats.capacity : 0u);
+      EXPECT_EQ(cache.arc_effective_length(0, v0, 0),
+                library.arc_effective_length(0, v0, 0));
+    }
+
+  // Journals: refused with SerializeError (FileMissingError when absent).
+  const auto expect_refused = [](const Corruption& c, auto&& load) {
+    if (!c.bytes) {
+      EXPECT_THROW(load(), FileMissingError);
+    } else {
+      EXPECT_THROW(load(), SerializeError);
+    }
+  };
+  const std::string ckpt_dir = case_dir();
+  const std::string eco_path = ckpt_dir + "/eco.ckpt";
+  const std::string batch_path = ckpt_dir + "/batch.ckpt";
+  place(eco_path, eco_good);
+  EXPECT_NO_THROW(make_optimizer()->restore(eco_path));
+  for (const Corruption& c : corruptions_of(eco_good, batch_good)) {
+    SCOPED_TRACE("eco checkpoint: " + c.what);
+    place(eco_path, c.bytes);
+    expect_refused(c, [&] { make_optimizer()->restore(eco_path); });
+  }
+  place(batch_path, batch_good);
+  EXPECT_EQ(load_batch_checkpoint(batch_path, flow, jobs).cancelled_count(),
+            1u);
+  for (const Corruption& c : corruptions_of(batch_good, eco_good)) {
+    SCOPED_TRACE("batch checkpoint: " + c.what);
+    place(batch_path, c.bytes);
+    expect_refused(c, [&] { load_batch_checkpoint(batch_path, flow, jobs); });
+  }
 }
 
 // --------------------------------------- batch cancellation & resumption
@@ -1148,6 +1360,46 @@ TEST_F(CacheGcTest, AgeRulesAndProtectedNames) {
   EXPECT_EQ(stats.removed_files, 3u);
 }
 
+// A snapshot a run loads is in use: an age pass must not evict it, and
+// saving slots that all came from that file does not rewrite it.
+TEST_F(CacheGcTest, LoadedSnapshotsSurviveAgeEviction) {
+  const std::string dir = fresh_dir("gc_in_use");
+  FlowConfig cfg;
+  cfg.cache_dir = dir;
+  const VersionKey v0 = version_key(0, cfg.bins.count());
+  const VersionKey v1 = version_key(1, cfg.bins.count());
+  std::string setup_path, slots_path;
+  {
+    const SvaFlow cold(cfg);
+    cold.context_cache().version_lengths(0, v0);
+    EXPECT_EQ(cold.context_cache().save(dir), 1u);
+    setup_path = cold.setup_cache_file_path(dir);
+    slots_path = cold.context_cache().cache_file_path(dir);
+  }
+  const auto forty_days = std::chrono::minutes(60 * 24 * 40);
+  set_age(setup_path, forty_days);
+  set_age(slots_path, forty_days);
+
+  const SvaFlow warm(cfg);
+  ASSERT_TRUE(warm.setup_from_cache());
+  ASSERT_TRUE(warm.context_cache().try_load(dir));
+  run_cache_gc(dir, CacheGcConfig{});
+  EXPECT_TRUE(std::filesystem::exists(setup_path));
+  EXPECT_TRUE(std::filesystem::exists(slots_path));
+
+  const auto inode = [](const std::string& path) {
+    struct stat st {};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st.st_ino;
+  };
+  const ino_t loaded = inode(slots_path);
+  EXPECT_EQ(warm.context_cache().save(dir), 1u);
+  EXPECT_EQ(inode(slots_path), loaded);
+  warm.context_cache().version_lengths(0, v1);  // a new miss
+  EXPECT_EQ(warm.context_cache().save(dir), 2u);
+  EXPECT_NE(inode(slots_path), loaded);
+}
+
 TEST_F(CacheGcTest, SizeBudgetEvictsOldestFirst) {
   const std::string dir = fresh_dir("gc_size");
   write_file(dir + "/a.svac", 600);
@@ -1199,7 +1451,7 @@ TEST_F(ChaosTest, EveryCatalogueSiteSurvivesProbabilisticFaults) {
   std::vector<CircuitAnalysis> reference;
   for (const std::string& name : names)
     reference.push_back(seed_flow.analyze_benchmark(name));
-  seed_flow.save_context_cache(seed_dir);
+  seed_flow.context_cache().save(seed_dir);
 
   for (const std::string& site : FailPoints::catalogue()) {
     SCOPED_TRACE("failpoint " + site);
@@ -1219,9 +1471,9 @@ TEST_F(ChaosTest, EveryCatalogueSiteSurvivesProbabilisticFaults) {
     FlowConfig cfg;
     cfg.cache_dir = dir;
     const SvaFlow flow(cfg);
-    flow.try_load_context_cache(dir);
+    flow.context_cache().try_load(dir);
     try {
-      flow.save_context_cache(dir);
+      flow.context_cache().save(dir);
     } catch (const Error&) {
       // An injected save/write fault is an acceptable outcome; the run
       // itself continues (the CLI warns and moves on).
